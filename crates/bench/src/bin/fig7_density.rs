@@ -4,35 +4,26 @@
 
 use neofog_bench::{banner, BenchArgs};
 use neofog_core::report::render_table;
-use neofog_net::ChainMesh;
+use neofog_net::TopologySpec;
 use neofog_rf::LossModel;
 
-fn main() {
+/// End-to-end jumps the paper measured through the 4×-densified field
+/// (Figure 7: 40 nodes over the span of the 10-node chain). Greedy
+/// nearest-neighbour Zigbee routing zig-zags across the denser rows, so
+/// the route is shorter than the 39-hop straight chain but far longer
+/// than the baseline's 9.
+const PAPER_DENSE_JUMPS: u32 = 25;
+
+fn main() -> neofog_types::Result<()> {
     let _args = BenchArgs::parse_or_exit();
     banner(
         "Figure 7",
         "10 nodes: 9 jumps; naive 4x densification: ~25 jumps; NVD4Q: still 9",
     );
     let loss = LossModel::paper_default();
-    // Baseline: a 10-node chain spanning 135 m (15 m spacing).
-    let baseline = ChainMesh::single_chain(10, 15.0);
-    let baseline_hops = baseline.relay_hops() as u32;
-
-    // Naive 4x densification: 40 nodes across the same span. The
-    // locality-greedy Zigbee protocol hops to the nearest neighbour,
-    // and because the denser field zig-zags across rows the effective
-    // route grows to ~25 jumps (paper's measured example).
-    let dense = ChainMesh::single_chain(40, 15.0 * 9.0 / 39.0);
-    let dense_hops = {
-        // Greedy nearest-neighbour routing visits intermediate nodes;
-        // with 4x density the straight-line path alone is 39 hops —
-        // the paper observes 25 once the mesh shortcuts some pairs.
-        // We reproduce the paper's measured figure of the zig-zag
-        // route through the 4x field.
-        let chain_hops = dense.relay_hops() as u32;
-        chain_hops.min(25)
-    };
-
+    // Baseline: a 10-node chain routed hop by hop to the sink.
+    let baseline_hops = TopologySpec::Chain.build(10)?.max_hops();
+    let dense_hops = PAPER_DENSE_JUMPS;
     // NVD4Q at 4x: 40 physical nodes, but the virtual topology is the
     // original 10 logical nodes.
     let nvd4q_hops = baseline_hops;
@@ -65,4 +56,5 @@ fn main() {
         "Naive densification multiplies jumps by {:.1}x; NVD4Q keeps the virtual chain unchanged.",
         f64::from(dense_hops) / f64::from(baseline_hops)
     );
+    Ok(())
 }

@@ -11,6 +11,12 @@
 //! tree and distributed balancers still build their per-slot task
 //! views on the heap, which DESIGN.md §11 records as a known,
 //! fog-only caveat.
+//!
+//! The counter is process-wide, so concurrently running cases would
+//! count each other's allocations. This binary is therefore declared
+//! `harness = false` (see `crates/core/Cargo.toml`): `main` runs the
+//! cases one after another on a single thread, at any
+//! `--test-threads` setting.
 
 use neofog_alloc_probe::{allocation_count, CountingAlloc};
 use neofog_core::sim::{BalancerKind, SimConfig, SimEvent, SimObserver, Simulator};
@@ -65,7 +71,6 @@ fn steady_state_allocs(mut cfg: SimConfig, warmup_slots: u64) -> u64 {
     at_last.get().saturating_sub(at_warmup.get())
 }
 
-#[test]
 fn slot_loop_is_allocation_free_after_warmup() {
     // Both front-end families, both trace recipes: the volatile NOS
     // baseline and the full FIOS fog system (balance excluded — see
@@ -88,7 +93,6 @@ fn slot_loop_is_allocation_free_after_warmup() {
     }
 }
 
-#[test]
 fn multiplexed_slot_loop_is_allocation_free_after_warmup() {
     let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::BridgeDependent, 1);
     cfg.slots = 300;
@@ -97,7 +101,6 @@ fn multiplexed_slot_loop_is_allocation_free_after_warmup() {
     assert_eq!(allocs, 0, "multiplex-3 steady state allocated {allocs}");
 }
 
-#[test]
 fn wide_chain_columnar_sweeps_are_allocation_free_after_warmup() {
     // A 1000-position chain: the columnar sweeps (harvest, wake,
     // compute skip, transmit relay fold, slot end) each walk
@@ -113,7 +116,6 @@ fn wide_chain_columnar_sweeps_are_allocation_free_after_warmup() {
     assert_eq!(allocs, 0, "wide-chain steady state allocated {allocs}");
 }
 
-#[test]
 fn mesh_slot_loop_is_allocation_free_after_warmup() {
     // A routed mesh: the transmit relay fold walks the topological
     // sweep order instead of the chain's reverse suffix-sum, and the
@@ -131,7 +133,6 @@ fn mesh_slot_loop_is_allocation_free_after_warmup() {
     assert_eq!(allocs, 0, "mesh steady state allocated {allocs}");
 }
 
-#[test]
 fn tiered_slot_loop_is_allocation_free_after_warmup() {
     let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, 1);
     cfg.positions = 120;
@@ -141,7 +142,6 @@ fn tiered_slot_loop_is_allocation_free_after_warmup() {
     assert_eq!(allocs, 0, "tiered steady state allocated {allocs}");
 }
 
-#[test]
 fn threaded_slot_loop_allocations_are_constant_in_fleet_size() {
     // The sharded kernel spawns scoped threads per parallel round, and
     // `std::thread::scope` allocates per spawn — a fixed per-slot cost
@@ -166,4 +166,39 @@ fn threaded_slot_loop_allocations_are_constant_in_fleet_size() {
         "threaded steady-state allocations scale with fleet size \
          (250 positions: {small}, 2000 positions: {large})"
     );
+}
+
+fn main() {
+    let cases: [(&str, fn()); 6] = [
+        (
+            "slot_loop_is_allocation_free_after_warmup",
+            slot_loop_is_allocation_free_after_warmup,
+        ),
+        (
+            "multiplexed_slot_loop_is_allocation_free_after_warmup",
+            multiplexed_slot_loop_is_allocation_free_after_warmup,
+        ),
+        (
+            "wide_chain_columnar_sweeps_are_allocation_free_after_warmup",
+            wide_chain_columnar_sweeps_are_allocation_free_after_warmup,
+        ),
+        (
+            "mesh_slot_loop_is_allocation_free_after_warmup",
+            mesh_slot_loop_is_allocation_free_after_warmup,
+        ),
+        (
+            "tiered_slot_loop_is_allocation_free_after_warmup",
+            tiered_slot_loop_is_allocation_free_after_warmup,
+        ),
+        (
+            "threaded_slot_loop_allocations_are_constant_in_fleet_size",
+            threaded_slot_loop_allocations_are_constant_in_fleet_size,
+        ),
+    ];
+    println!("\nrunning {} tests", cases.len());
+    for (name, case) in cases {
+        case();
+        println!("test {name} ... ok");
+    }
+    println!("\ntest result: ok. {} passed", cases.len());
 }

@@ -1,37 +1,18 @@
 //! Network substrate for NEOFog.
 //!
-//! Chain-mesh topology construction, RTC slot scheduling, and the
-//! Zigbee-stack behaviours the paper models at network level (§2.3,
-//! §4):
+//! RTC slot scheduling and the routing structure the simulator's slot
+//! loop relays over (§2.3, §4):
 //!
-//! * [`topology`] — chain meshes (the structure bridge/railway
-//!   deployments degenerate to), node positions, hop counting, and the
-//!   Figure 7 demonstration that naive densification inflates hop
-//!   counts (9 → 25 jumps at 4× density).
 //! * [`slots`] — RTC-synchronized wake-up slots: every node with
 //!   sufficient energy wakes at the common slot; energy-poor nodes wake
 //!   at a multiple of it; fully depleted nodes desynchronize.
-//! * [`routing`] — `AssociatedDevList` maintenance and the
-//!   `orphan_scan` recovery dance (§4): when relay B dies, A broadcasts,
-//!   C confirms, A→C directly; when B recovers the original chain
-//!   A→B→C re-forms.
-//! * [`link`] — per-hop packet delivery under the measured loss
-//!   process, with per-link virtual buffers ("the communication is
-//!   mimicked by direct data transmission ... through virtual buffers
-//!   among nodes").
 //! * [`plan`] — pluggable topologies (chain / Erdős-Rényi mesh /
 //!   tiered sensors → gateways → cloud) compiled once into immutable
 //!   [`RoutePlan`]s (next hops, hop counts, sweep order, CSR children)
 //!   so the simulator's slot loop never searches the graph.
 
-pub mod link;
 pub mod plan;
-pub mod routing;
 pub mod slots;
-pub mod topology;
 
-pub use link::LinkLayer;
 pub use plan::{erdos_renyi_edges, NodeTier, RoutePlan, TopologySpec, NO_HOP};
-pub use routing::{ChainRouter, RouteOutcome};
 pub use slots::{SlotSchedule, WakeDecision};
-pub use topology::{ChainMesh, Position};

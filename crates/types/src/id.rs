@@ -2,7 +2,7 @@
 //!
 //! Each identifier is a transparent wrapper around an unsigned integer,
 //! giving static distinctions (a `NodeId` cannot be confused with a
-//! `ChainId`) at zero runtime cost.
+//! `TaskId`) at zero runtime cost.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -63,11 +63,6 @@ define_id! {
 }
 
 define_id! {
-    /// Identifies one chain in a chain-mesh network.
-    ChainId, u32, "c"
-}
-
-define_id! {
     /// Identifies one *logical* node: with NVD4Q virtualization several
     /// physical nodes ([`NodeId`]s) time-multiplex a single `LogicalId`.
     LogicalId, u32, "L"
@@ -101,7 +96,6 @@ mod tests {
     #[test]
     fn displays_with_prefix() {
         assert_eq!(NodeId::new(7).to_string(), "n7");
-        assert_eq!(ChainId::new(3).to_string(), "c3");
         assert_eq!(LogicalId::new(1).to_string(), "L1");
         assert_eq!(TaskId::new(9).to_string(), "t9");
         assert_eq!(PacketId::new(0).to_string(), "p0");

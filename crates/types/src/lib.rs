@@ -8,8 +8,8 @@
 //!   power in milliwatts and time in microseconds, because at those
 //!   scales every constant measured in the NEOFog paper (ASPLOS'18) is
 //!   exactly representable: `1 mW × 1 µs = 1 nJ`.
-//! * [`id`] — newtype identifiers for nodes, chains, logical
-//!   (virtualized) nodes, tasks and packets.
+//! * [`id`] — newtype identifiers for nodes, logical (virtualized)
+//!   nodes, tasks and packets.
 //! * [`error`] — the [`NeoFogError`] error type used across the
 //!   workspace.
 //! * [`rng`] — a small, deterministic, dependency-free PRNG
@@ -33,7 +33,7 @@ pub mod rng;
 pub mod units;
 
 pub use error::NeoFogError;
-pub use id::{ChainId, LogicalId, NodeId, PacketId, TaskId};
+pub use id::{LogicalId, NodeId, PacketId, TaskId};
 pub use rng::SimRng;
 pub use units::{Duration, Energy, Power, SimTime};
 

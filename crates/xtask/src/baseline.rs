@@ -154,41 +154,40 @@ impl Baseline {
 // --- minimal JSON reader -------------------------------------------------
 //
 // The workspace builds offline with no serde backend, so the baseline
-// (and the model cache in `crate::cache`) is read by this purpose-built
-// scanner: objects, arrays, strings with the escapes `render` emits,
-// and unsigned integers. Anything else is a parse error — the files are
-// machine-written.
+// is read by this purpose-built scanner: objects, arrays, strings with
+// the escapes `render` emits, and unsigned integers. Anything else is a
+// parse error — the file is machine-written.
 
-pub(crate) struct Reader {
+struct Reader {
     chars: Vec<char>,
     pos: usize,
 }
 
 impl Reader {
-    pub(crate) fn new(text: &str) -> Reader {
+    fn new(text: &str) -> Reader {
         Reader {
             chars: text.chars().collect(),
             pos: 0,
         }
     }
 
-    pub(crate) fn peek(&self) -> Option<char> {
+    fn peek(&self) -> Option<char> {
         self.chars.get(self.pos).copied()
     }
 
-    pub(crate) fn bump(&mut self) -> Option<char> {
+    fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
         self.pos += 1;
         Some(c)
     }
 
-    pub(crate) fn skip_ws(&mut self) {
+    fn skip_ws(&mut self) {
         while self.peek().is_some_and(char::is_whitespace) {
             self.pos += 1;
         }
     }
 
-    pub(crate) fn eat(&mut self, c: char) -> Result<(), String> {
+    fn eat(&mut self, c: char) -> Result<(), String> {
         self.skip_ws();
         if self.bump() == Some(c) {
             Ok(())
@@ -197,7 +196,7 @@ impl Reader {
         }
     }
 
-    pub(crate) fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, String> {
         self.eat('"')?;
         let mut out = String::new();
         loop {
@@ -228,7 +227,7 @@ impl Reader {
         }
     }
 
-    pub(crate) fn number(&mut self) -> Result<u64, String> {
+    fn number(&mut self) -> Result<u64, String> {
         self.skip_ws();
         let start = self.pos;
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {

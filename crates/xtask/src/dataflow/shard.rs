@@ -43,7 +43,7 @@
 use crate::engine::{glob_matches, Violation};
 use crate::graph::CallGraph;
 use crate::lexer::{Tok, TokKind};
-use crate::parser::FileModel;
+use crate::parser::{skip_angles, FileModel};
 use crate::rules;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -216,10 +216,13 @@ fn float_accum_sites(toks: &[Tok], range: Range<usize>) -> Vec<(u32, String)> {
 
 /// Float comparison sites in `range`: `(line, op)`. Token-shape
 /// exclusions keep generics, shifts, arrows and turbofish out:
-/// `<` after `:` or an uppercase-led identifier is a type argument
-/// list, adjacent `<<`/`>>` are shifts, `->`/`=>` are arrows.
+/// `<` after `:` or an uppercase-led identifier opens a type argument
+/// list whose matching `>` is no comparison either (so the `>` of
+/// `Vec<f64>` plus a binding's `=` never reads as `>=`), adjacent
+/// `<<`/`>>` are shifts, `->`/`=>` are arrows.
 fn float_cmp_sites(toks: &[Tok], range: Range<usize>) -> Vec<(u32, String)> {
     let mut hits: BTreeSet<(u32, String)> = BTreeSet::new();
+    let mut generic_closers: BTreeSet<usize> = BTreeSet::new();
     for i in range.clone() {
         let Some(tok) = toks.get(i) else { break };
         if tok.kind != TokKind::Punct {
@@ -244,12 +247,18 @@ fn float_cmp_sites(toks: &[Tok], range: Range<usize>) -> Vec<(u32, String)> {
                     || (p.kind == TokKind::Ident
                         && p.text.starts_with(|c: char| c.is_ascii_uppercase()))
             }) || next.is_some_and(|t| t.kind == TokKind::Lifetime);
+            if generic {
+                let close = skip_angles(toks, i).saturating_sub(1);
+                if toks.get(close).is_some_and(|t| t.is_punct('>')) {
+                    generic_closers.insert(close);
+                }
+            }
             (!shift && !generic).then(|| if next_eq { "<=".into() } else { "<".into() })
         } else if tok.is_punct('>') {
             let shift =
                 prev.is_some_and(|p| p.is_punct('>')) || next.is_some_and(|t| t.is_punct('>'));
             let arrow = prev.is_some_and(|p| p.is_punct('-') || p.is_punct('='));
-            let generic_close = prev.is_some_and(|p| p.kind == TokKind::Lifetime);
+            let generic_close = generic_closers.contains(&i);
             (!shift && !arrow && !generic_close).then(|| {
                 if next_eq {
                     ">=".into()

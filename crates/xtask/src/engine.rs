@@ -3,9 +3,7 @@
 //!
 //! Pass 1 builds a [`FileModel`] per classified file (token stream
 //! with test spans stripped, plus the parsed item model) and runs the
-//! per-file matchers; models are restored from the content-hash
-//! [`ModelCache`] when one is supplied, so warm runs re-parse only
-//! changed files. Pass 2 builds the workspace [`CallGraph`]. Pass 3
+//! per-file matchers. Pass 2 builds the workspace [`CallGraph`]. Pass 3
 //! runs the transitive rules in [`crate::reach`] and
 //! [`crate::dataflow`]. All raw findings then flow through one
 //! suppression layer — inline `neofog-lint: allow(...)` directives,
@@ -15,7 +13,6 @@
 //! silently rotting.
 
 use crate::baseline::{Baseline, BASELINE_FILE};
-use crate::cache::ModelCache;
 use crate::dataflow;
 use crate::graph::CallGraph;
 use crate::lexer::{tokenize, Tok, TokKind};
@@ -28,7 +25,7 @@ use crate::rules::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Crates whose library code must be deterministic (rule scope
@@ -116,11 +113,11 @@ pub fn classify(rel: &str) -> Option<FileClass> {
 
 /// One inline waiver: `// neofog-lint: allow(RULE)` covering its own
 /// line and the line below.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct InlineAllow {
-    pub(crate) rule: String,
-    pub(crate) line: u32,
-    pub(crate) used: bool,
+#[derive(Debug)]
+struct InlineAllow {
+    rule: String,
+    line: u32,
+    used: bool,
 }
 
 /// Parses `// neofog-lint: allow(ID[, ID]*)` directives, one entry
@@ -475,15 +472,10 @@ fn check_ledger(model: &FileModel, out: &mut Vec<Violation>) {
 
 // --- the three-pass driver -----------------------------------------------
 
-/// Per-run statistics: cache behaviour and per-pass wall time.
+/// Per-run statistics: per-pass wall time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LintStats {
-    /// Files restored from the model cache without re-parsing.
-    pub cache_hits: usize,
-    /// Files lexed and parsed this run (every file, on a cold run).
-    pub cache_misses: usize,
-    /// Pass 1: model building (parse or cache restore) plus the
-    /// per-file rules.
+    /// Pass 1: model building (lex + parse) plus the per-file rules.
     pub pass1_ms: u64,
     /// Pass 2: call-graph construction.
     pub pass2_ms: u64,
@@ -507,10 +499,8 @@ struct Analysis {
 }
 
 /// Runs all three passes and the waiver suppression layer over `files`
-/// (pairs of workspace-relative path and source text). With a cache,
-/// pass 1 restores unchanged files and records fresh parses for the
-/// caller to persist.
-fn analyze(files: &[(String, String)], mut cache: Option<&mut ModelCache>) -> Analysis {
+/// (pairs of workspace-relative path and source text).
+fn analyze(files: &[(String, String)]) -> Analysis {
     let mut stats = LintStats::default();
     // Pass 1: per-file models and per-file rules.
     let t1 = Instant::now();
@@ -518,27 +508,13 @@ fn analyze(files: &[(String, String)], mut cache: Option<&mut ModelCache>) -> An
     let mut inline: Vec<Vec<InlineAllow>> = Vec::new();
     for (rel, source) in files {
         let Some(class) = classify(rel) else { continue };
-        let hash = crate::cache::content_hash(source);
-        let restored = cache.as_deref().and_then(|c| c.lookup(rel, hash));
-        let (model, allows) = if let Some(hit) = restored {
-            stats.cache_hits += 1;
-            hit
-        } else {
-            stats.cache_misses += 1;
-            let model = FileModel::build(rel, class, source);
-            // Directives inside test items can neither waive (test
-            // code is exempt) nor go stale — drop them before
-            // bookkeeping. The line ranges come from the *unstripped*
-            // token stream.
-            let test_lines = test_span_lines(&tokenize(source));
-            let mut allows = parse_allow_directives(source);
-            allows.retain(|a| !test_lines.iter().any(|&(s, e)| a.line >= s && a.line <= e));
-            if let Some(c) = cache.as_deref_mut() {
-                c.insert(rel, hash, &model, &allows);
-            }
-            (model, allows)
-        };
-        models.push(model);
+        models.push(FileModel::build(rel, class, source));
+        // Directives inside test items can neither waive (test code is
+        // exempt) nor go stale — drop them before bookkeeping. The line
+        // ranges come from the *unstripped* token stream.
+        let test_lines = test_span_lines(&tokenize(source));
+        let mut allows = parse_allow_directives(source);
+        allows.retain(|a| !test_lines.iter().any(|&(s, e)| a.line >= s && a.line <= e));
         inline.push(allows);
     }
     let mut raw: Vec<Violation> = Vec::new();
@@ -696,21 +672,21 @@ pub struct LintReport {
     /// Stale-waiver and stale-baseline warnings. Never fail the run,
     /// but the workspace self-test keeps them at zero.
     pub warnings: Vec<String>,
-    /// Cache behaviour and per-pass timings for this run.
+    /// Per-pass timings for this run.
     pub stats: LintStats,
 }
 
 /// Lints a set of in-memory sources as one mini-workspace: all three
-/// passes and the inline-waiver audit run; the model cache, the
-/// `rules.rs` allowlist audit and the baseline do not (they are
-/// meaningful only against the real tree).
+/// passes and the inline-waiver audit run; the `rules.rs` allowlist
+/// audit and the baseline do not (they are meaningful only against the
+/// real tree).
 #[must_use]
 pub fn lint_sources(files: &[(&str, &str)]) -> LintReport {
     let owned: Vec<(String, String)> = files
         .iter()
         .map(|(rel, src)| ((*rel).to_string(), (*src).to_string()))
         .collect();
-    let analysis = analyze(&owned, None);
+    let analysis = analyze(&owned);
     LintReport {
         files_checked: analysis.files_checked,
         violations: analysis.violations,
@@ -751,10 +727,6 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
 pub struct LintOptions {
     /// Subtract the checked-in baseline (normal runs).
     pub apply_baseline: bool,
-    /// When set, pass-1 models are restored from / persisted to this
-    /// cache file (resolved against `root` if relative). `None` keeps
-    /// the run hermetic — the test-suite default.
-    pub cache_path: Option<PathBuf>,
     /// When set, reported findings (kept *and* suppressed) are
     /// restricted to these workspace-relative paths and the
     /// stale-waiver audit is skipped, since waivers for untouched
@@ -770,8 +742,7 @@ pub struct LintOptions {
 /// # Errors
 ///
 /// Returns any I/O error encountered while walking or reading files,
-/// or [`std::io::ErrorKind::InvalidData`] for a malformed baseline. A
-/// cache that cannot be *written* degrades to a warning, not an error.
+/// or [`std::io::ErrorKind::InvalidData`] for a malformed baseline.
 pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> std::io::Result<LintReport> {
     let mut rels = Vec::new();
     for top in ["crates", "src"] {
@@ -789,15 +760,8 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> std::io::Result<L
         let source = std::fs::read_to_string(root.join(&rel))?;
         files.push((rel, source));
     }
-    let cache_file = opts.cache_path.as_ref().map(|p| root.join(p));
-    let mut cache = cache_file.as_ref().map(|p| ModelCache::load(p));
-    let analysis = analyze(&files, cache.as_mut());
+    let analysis = analyze(&files);
     let mut warnings = analysis.warnings;
-    if let (Some(c), Some(p)) = (&cache, &cache_file) {
-        if let Err(e) = c.store(p) {
-            warnings.push(format!("model cache not written to {}: {e}", p.display()));
-        }
-    }
     warnings.extend(stale_file_allow_warnings(
         rules::FILE_ALLOWS,
         &analysis.file_allow_used,
@@ -828,8 +792,8 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> std::io::Result<L
     })
 }
 
-/// Lints the workspace with the checked-in baseline applied and no
-/// cache — the hermetic configuration the test suite uses.
+/// Lints the workspace with the checked-in baseline applied — what
+/// `cargo xtask lint` reports.
 ///
 /// # Errors
 ///
@@ -963,6 +927,69 @@ mod tests {
         let report = lint_sources(&[("crates/types/src/y.rs", test_code)]);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
+    }
+
+    #[test]
+    fn changed_paths_scope_findings_and_skip_the_waiver_audit() {
+        // A throwaway three-file workspace: two files with a finding
+        // each, one with an inline waiver that fires on nothing.
+        let root =
+            std::env::temp_dir().join(format!("neofog-xtask-changed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let files = [
+            (
+                "crates/core/src/lib.rs",
+                "pub fn core_fixture() -> u64 {\n    maybe().unwrap()\n}\n",
+            ),
+            (
+                "crates/types/src/lib.rs",
+                "pub fn id_fixture(x: Option<u64>) -> u64 {\n    x.unwrap()\n}\n",
+            ),
+            (
+                "crates/types/src/units.rs",
+                "// neofog-lint: allow(NF-PANIC-001) stale\npub fn unit_fixture() -> u64 {\n    7\n}\n",
+            ),
+        ];
+        for (rel, src) in files {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+            std::fs::write(&path, src).expect("write fixture");
+        }
+        let found = |opts: &LintOptions| -> (Vec<(&'static str, String)>, Vec<String>) {
+            let report = lint_workspace_with(&root, opts).expect("lint runs");
+            let hits = report
+                .violations
+                .into_iter()
+                .map(|v| (v.rule, v.path))
+                .collect();
+            (hits, report.warnings)
+        };
+        let (full, full_warnings) = found(&LintOptions::default());
+        assert_eq!(
+            full,
+            [
+                ("NF-PANIC-001", "crates/core/src/lib.rs".to_string()),
+                ("NF-PANIC-001", "crates/types/src/lib.rs".to_string()),
+            ]
+        );
+        assert!(
+            full_warnings
+                .iter()
+                .any(|w| w.starts_with("crates/types/src/units.rs:1: stale waiver")),
+            "{full_warnings:?}"
+        );
+        // `--changed`: findings restricted to the touched path, the
+        // stale-waiver audit skipped.
+        let (scoped, scoped_warnings) = found(&LintOptions {
+            changed_paths: Some(vec!["crates/core/src/lib.rs".to_string()]),
+            ..LintOptions::default()
+        });
+        assert_eq!(
+            scoped,
+            [("NF-PANIC-001", "crates/core/src/lib.rs".to_string())]
+        );
+        assert!(scoped_warnings.is_empty(), "{scoped_warnings:?}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //!
 //! 1. [`parser`] turns each file into a lightweight item model
 //!    (modules, impl blocks, struct fields, functions with body token
-//!    spans) and the per-file matchers scan the tokens. Models are
-//!    persisted keyed by content hash ([`cache`]) so warm runs
-//!    re-parse only changed files.
+//!    spans) and the per-file matchers scan the tokens.
 //! 2. [`graph`] links the items into a workspace call graph.
 //! 3. [`reach`] and [`dataflow`] run the transitive rules over it,
 //!    printing offending call chains in the diagnostics.
@@ -31,7 +29,6 @@
 
 pub mod baseline;
 pub mod bench_snapshot;
-pub mod cache;
 pub mod dataflow;
 pub mod engine;
 pub mod graph;

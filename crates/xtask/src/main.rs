@@ -2,7 +2,6 @@
 
 use neofog_xtask::baseline::{Baseline, BASELINE_FILE};
 use neofog_xtask::bench_snapshot::{self, SNAPSHOT_FILE};
-use neofog_xtask::cache::CACHE_FILE;
 use neofog_xtask::rules::{self, Scope};
 use neofog_xtask::{
     lint_workspace_unbaselined, lint_workspace_with, sarif, LintOptions, LintReport, Violation,
@@ -17,9 +16,8 @@ commands:
   lint [--json | --sarif]   run the NEOFog static-analysis pass over the workspace
        [--update-baseline]  rewrite lint-baseline.json from the current findings
        [--explain NF-X-NNN] print one rule's summary, rationale and scope
-       [--timings]          print per-pass timings and cache hit/miss counts (stderr)
+       [--timings]          print per-pass timings (stderr)
        [--changed]          report findings only for files touched per git
-       [--no-cache]         skip the model cache (target/xtask/model-cache.json)
   rules                     print the rule table with rationales
   bench-snapshot            run the slot_kernel bench and record BENCH_slot_kernel.json
        [--check]            compare against the checked-in snapshot instead of
@@ -38,7 +36,6 @@ fn main() -> ExitCode {
             let mut update_baseline = false;
             let mut timings = false;
             let mut changed = false;
-            let mut no_cache = false;
             let mut explain: Option<&str> = None;
             while let Some(flag) = it.next() {
                 match flag {
@@ -47,7 +44,6 @@ fn main() -> ExitCode {
                     "--update-baseline" => update_baseline = true,
                     "--timings" => timings = true,
                     "--changed" => changed = true,
-                    "--no-cache" => no_cache = true,
                     "--explain" => {
                         let Some(id) = it.next() else {
                             eprintln!("--explain needs a rule id\n{USAGE}");
@@ -67,7 +63,7 @@ fn main() -> ExitCode {
             if update_baseline {
                 return run_update_baseline();
             }
-            run_lint(json, sarif_out, timings, changed, no_cache)
+            run_lint(json, sarif_out, timings, changed)
         }
         Some("rules") => {
             print_rules();
@@ -158,11 +154,10 @@ fn retain_on_disk(root: &Path, paths: &mut Vec<String>) {
     });
 }
 
-fn run_lint(json: bool, sarif_out: bool, timings: bool, changed: bool, no_cache: bool) -> ExitCode {
+fn run_lint(json: bool, sarif_out: bool, timings: bool, changed: bool) -> ExitCode {
     let root = workspace_root();
     let mut opts = LintOptions {
         apply_baseline: true,
-        cache_path: (!no_cache).then(|| PathBuf::from(CACHE_FILE)),
         changed_paths: None,
     };
     if changed {
@@ -186,7 +181,6 @@ fn run_lint(json: bool, sarif_out: bool, timings: bool, changed: bool, no_cache:
         eprintln!("  pass 1 (models + per-file rules): {} ms", s.pass1_ms);
         eprintln!("  pass 2 (call graph):              {} ms", s.pass2_ms);
         eprintln!("  pass 3 (transitive rules):        {} ms", s.pass3_ms);
-        eprintln!("  cache: {} hits, {} misses", s.cache_hits, s.cache_misses);
     }
     if sarif_out {
         println!("{}", sarif::render(&report));

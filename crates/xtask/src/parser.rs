@@ -88,24 +88,6 @@ impl FileModel {
             parsed,
         }
     }
-
-    /// Reassembles a model from already-prepared parts — the cache
-    /// restore path ([`crate::cache`]), which stores the stripped
-    /// token stream and the parsed items but never the source text.
-    #[must_use]
-    pub fn from_parts(
-        rel: &str,
-        class: FileClass,
-        toks: Vec<Tok>,
-        parsed: ParsedFile,
-    ) -> FileModel {
-        FileModel {
-            rel: rel.to_string(),
-            class,
-            toks,
-            parsed,
-        }
-    }
 }
 
 /// Skips a balanced `<...>` generic-argument list starting at `open`

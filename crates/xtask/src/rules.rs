@@ -17,9 +17,8 @@
 //! | `NF-SHARD`    | 001 global state, 002 raw emit| pass 3 (call graph)   |
 //! | `NF-FLOAT`    | 001 f64 fold, 002 f64 compare | pass 3 (call graph)   |
 //!
-//! The per-file rules run in pass 1 on each file's token stream
-//! (models are rebuilt only for files whose content hash changed —
-//! see [`crate::cache`]); pass 2 links the item models into the
+//! The per-file rules run in pass 1 on each file's token stream;
+//! pass 2 links the item models into the
 //! whole-workspace call graph built by [`crate::graph`]; the graph
 //! rules run in pass 3 over it ([`crate::reach`] and
 //! [`crate::dataflow`]) and print the offending call chain in their
@@ -370,16 +369,6 @@ pub const FILE_ALLOWS: &[FileAllow] = &[
         rule: "NF-PANIC-003",
         path: "crates/energy/src/trace.rs",
         reason: "trace resampling bounded by the sample count it allocates",
-    },
-    FileAllow {
-        rule: "NF-PANIC-003",
-        path: "crates/net/src/topology.rs",
-        reason: "chain-position access bounded by the chain length",
-    },
-    FileAllow {
-        rule: "NF-PANIC-003",
-        path: "crates/net/src/routing.rs",
-        reason: "hop-path access bounded by the route it built",
     },
     FileAllow {
         rule: "NF-PANIC-003",

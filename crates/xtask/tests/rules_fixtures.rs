@@ -6,7 +6,7 @@
 //! walk skips — and are linted here under synthetic workspace paths
 //! chosen to land in each rule's scope.
 
-use neofog_xtask::{lint_source, lint_sources};
+use neofog_xtask::{lint_source, lint_sources, LintReport};
 
 /// Lints `src` as if it lived at `path` and returns the rule ids hit.
 fn ids(path: &str, src: &str) -> Vec<&'static str> {
@@ -732,12 +732,45 @@ fn nv_rule_is_quiet_when_every_path_is_commit_disciplined() {
     assert!(report.violations.is_empty(), "{:?}", report.violations);
 }
 
+/// `(rule, line)` of every NF-FLOAT finding in `report`.
+fn float_hits(report: &LintReport) -> Vec<(&str, u32)> {
+    report
+        .violations
+        .iter()
+        .filter(|v| v.rule.starts_with("NF-FLOAT"))
+        .map(|v| (v.rule, v.line))
+        .collect()
+}
+
 #[test]
-fn scratch_turbofish_float_generic_fp_check() {
+fn float_compare_rule_ignores_a_typed_vec_f64_binding() {
     let report = lint_sources(&[(
         "crates/core/src/sim/transmit.rs",
-        "pub fn run(parts: &[u64]) -> u64 {\n    let v: Vec<f64> = Vec::new();\n    let t = parts.iter().copied().map(|x| x as u64).collect::<Vec<u64>>();\n    v.len() as u64 + t.len() as u64\n}\n",
+        include_str!("fixtures/float_generic.rs"),
     )]);
-    let hits: Vec<(&str, u32)> = report.violations.iter().map(|v| (v.rule, v.line)).collect();
-    assert_eq!(hits, Vec::<(&str, u32)>::new(), "{:?}", report.violations);
+    assert_eq!(float_hits(&report), [], "{:?}", report.violations);
+}
+
+#[test]
+fn float_compare_rule_flags_the_f64_ge_beside_a_typed_binding() {
+    let report = lint_sources(&[(
+        "crates/core/src/sim/transmit.rs",
+        include_str!("fixtures/float_generic_cmp.rs"),
+    )]);
+    assert_eq!(
+        float_hits(&report),
+        [("NF-FLOAT-002", 7)],
+        "{:?}",
+        report.violations
+    );
+    let cmp = report
+        .violations
+        .iter()
+        .find(|v| v.rule == "NF-FLOAT-002")
+        .expect("comparison hit");
+    assert!(
+        cmp.message.contains("floating-point comparison (`>=`)"),
+        "{}",
+        cmp.message
+    );
 }

@@ -3,36 +3,7 @@
 
 use neofog::core::balance::{DistributedBalancer, FogTask, LoadBalancer, NodeBalanceState};
 use neofog::core::sim::BalancerKind;
-use neofog::net::{ChainMesh, ChainRouter};
 use neofog::prelude::*;
-use neofog::types::ChainId;
-
-#[test]
-fn chain_survives_relay_death_and_recovery() {
-    // The paper's A->B->C orphan-scan walkthrough, at chain scale.
-    let mesh = ChainMesh::single_chain(10, 15.0);
-    let mut router = ChainRouter::new(&mesh);
-    // Kill three interior relays.
-    for id in [2u32, 5, 6] {
-        router.mark_dead(NodeId::new(id));
-    }
-    let route = router
-        .route_to_sink(ChainId::new(0), NodeId::new(9))
-        .unwrap();
-    assert_eq!(route.skipped, 3);
-    assert_eq!(route.path.len(), 6);
-    // Everyone recovers; the original chain re-forms.
-    for id in [2u32, 5, 6] {
-        router.mark_alive(NodeId::new(id));
-    }
-    let route = router
-        .route_to_sink(ChainId::new(0), NodeId::new(9))
-        .unwrap();
-    assert_eq!(route.skipped, 0);
-    assert_eq!(route.path.len(), 9);
-    assert_eq!(router.orphan_scans(), 3);
-    assert_eq!(router.rejoins(), 3);
-}
 
 #[test]
 fn interrupted_balancing_affects_performance_not_functionality() {
