@@ -19,13 +19,6 @@
 //!   target.
 //! * `NEOFOG_SLOT_KERNEL_MAX_NODES` caps the sweep (e.g. `=100000`
 //!   skips the 10⁶ entry) for memory-constrained runs.
-//! * The chain sweep is repeated with the sharded kernel at
-//!   `NEOFOG_SLOT_KERNEL_THREADS` shard threads (comma list, default
-//!   `2,8`; empty string skips the threaded rows). Those rows carry a
-//!   `-t<N>` id suffix (`slot_kernel/nodes-t8/...`), so the snapshot
-//!   gate only ever compares like thread counts. The simulator is
-//!   reused across widths via `set_threads`, which the determinism
-//!   tests pin as stream-preserving.
 //!
 //! `cargo xtask bench-snapshot` runs this bench and records the
 //! results in `BENCH_slot_kernel.json`, the PR-over-PR perf
@@ -58,14 +51,6 @@ fn max_nodes() -> usize {
         .unwrap_or(usize::MAX)
 }
 
-fn thread_sweep() -> Vec<usize> {
-    let spec = std::env::var("NEOFOG_SLOT_KERNEL_THREADS").unwrap_or_else(|_| "2,8".into());
-    spec.split(',')
-        .filter_map(|t| t.trim().parse().ok())
-        .filter(|&t| t > 1)
-        .collect()
-}
-
 fn bench_slot_kernel(c: &mut Criterion) {
     let cap = max_nodes();
     let mut group = c.benchmark_group("slot_kernel");
@@ -80,17 +65,6 @@ fn bench_slot_kernel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("nodes", nodes), &nodes, |b, _| {
             b.iter(|| sim.advance(1));
         });
-        // Same simulator, sharded kernel: the strong-scaling rows.
-        for threads in thread_sweep() {
-            sim.set_threads(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("nodes-t{threads}"), nodes),
-                &nodes,
-                |b, _| {
-                    b.iter(|| sim.advance(1));
-                },
-            );
-        }
     }
     // Mesh and tiered variants exercise the generalized route sweep.
     // The sweep itself stays O(positions); the 10⁴ cap is the ER

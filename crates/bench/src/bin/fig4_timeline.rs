@@ -61,7 +61,6 @@ fn main() -> neofog_types::Result<()> {
             args.seed.unwrap_or(1),
         );
         cfg.slots = slots;
-        cfg.threads = args.threads.unwrap_or(1);
         cfg.events_path = Some(path.clone());
         let result = Simulator::new(cfg)?.run();
         println!(

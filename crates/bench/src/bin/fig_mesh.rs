@@ -23,14 +23,11 @@ use neofog_net::TopologySpec;
 /// and a cloud node to leave a two-digit sensor field).
 const POSITIONS: usize = 12;
 
-fn base_cfg(seed: u64, slots: u64, threads: usize) -> SimConfig {
+fn base_cfg(seed: u64, slots: u64) -> SimConfig {
     let mut cfg =
         SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, seed);
     cfg.positions = POSITIONS;
     cfg.slots = slots;
-    // Sharded slot kernel (`--threads`): deterministic at any width,
-    // so the CI-pinned mesh event log is unaffected by the choice.
-    cfg.threads = threads;
     cfg
 }
 
@@ -43,11 +40,10 @@ fn main() -> neofog_types::Result<()> {
     let args = BenchArgs::parse_or_exit();
     let seed = args.seed.unwrap_or(7);
     let slots = args.slots.unwrap_or(60);
-    let threads = args.sim_threads();
 
     let mut runs: Vec<(&str, SimConfig)> = Vec::new();
-    runs.push(("chain", base_cfg(seed, slots, threads)));
-    let mut mesh = base_cfg(seed, slots, threads);
+    runs.push(("chain", base_cfg(seed, slots)));
+    let mut mesh = base_cfg(seed, slots);
     mesh.topology = TopologySpec::ErdosRenyi {
         edge_prob: 0.3,
         seed,
@@ -56,7 +52,7 @@ fn main() -> neofog_types::Result<()> {
     // The representative run CI pins: log its events when asked.
     mesh.events_path = args.events.clone();
     runs.push(("mesh (ER p=0.3)", mesh));
-    let mut tiered = base_cfg(seed, slots, threads);
+    let mut tiered = base_cfg(seed, slots);
     tiered.topology = TopologySpec::Tiered { gateways: 2 };
     tiered.balancer = BalancerKind::Offload;
     runs.push(("tiered (2 gateways)", tiered));

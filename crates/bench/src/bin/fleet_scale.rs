@@ -6,10 +6,7 @@
 //!
 //! `--chains`, `--slots`, `--seed` and `--workers` rescale the run;
 //! the streaming fleet reducer keeps ~24 bytes per chain, so chain
-//! counts in the hundreds of thousands are memory-safe. `--threads`
-//! additionally shards each simulation's slot kernel — mostly useful
-//! with few, very wide chains; with many small chains the pool's
-//! across-simulation parallelism already saturates the cores.
+//! counts in the hundreds of thousands are memory-safe.
 
 use neofog_bench::{banner, BenchArgs};
 use neofog_core::fleet::run_fleet_with;
@@ -33,7 +30,6 @@ fn main() -> neofog_types::Result<()> {
     let mut base =
         SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, seed);
     base.slots = slots;
-    base.threads = args.sim_threads();
     let t0 = Instant::now();
     let intra = run_fleet_with(&base, chains, &pool, &mut StderrTicker::new("intra"))?;
     let intra_secs = t0.elapsed().as_secs_f64();
@@ -42,7 +38,6 @@ fn main() -> neofog_types::Result<()> {
     let mut multi = SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::MountainRainy, seed);
     multi.slots = slots;
     multi.multiplex = 5;
-    multi.threads = args.sim_threads();
     let t1 = Instant::now();
     let inter = run_fleet_with(&multi, chains, &pool, &mut StderrTicker::new("inter"))?;
     let inter_secs = t1.elapsed().as_secs_f64();

@@ -13,8 +13,6 @@
 //! * `--chains <n>` — fleet size for the fleet binaries.
 //! * `--workers <n>` — worker threads for the simulation pool
 //!   (default: every available core).
-//! * `--threads <n>` — worker threads *inside* each simulation (the
-//!   sharded slot kernel; default 1 = serial, `0` = all cores).
 //! * `--help` — print the flag reference and exit.
 //!
 //! Unknown flags are an error, not a silent no-op: a typo like
@@ -39,11 +37,7 @@ Shared flags (every NEOFog figure/bench binary):
   --slots <u64>     override the simulated slot count
   --chains <n>      fleet size for the fleet binaries
   --workers <n>     worker threads for the simulation pool
-                    (parallelism ACROSS simulations; default: all cores)
-  --threads <n>     worker threads inside each simulation's slot kernel
-                    (parallelism WITHIN one simulation; default 1 =
-                    serial, 0 = all cores; any value produces the same
-                    deterministic event stream)
+                    (default: all cores)
   --help            print this reference and exit";
 
 /// The flags shared by every figure/bench binary.
@@ -63,9 +57,6 @@ pub struct BenchArgs {
     pub chains: Option<usize>,
     /// `--workers <n>`: simulation pool worker threads.
     pub workers: Option<usize>,
-    /// `--threads <n>`: sharded slot-kernel worker threads per
-    /// simulation (`0` = all cores).
-    pub threads: Option<usize>,
     /// `--help`: print [`USAGE`] and exit (handled by
     /// [`BenchArgs::parse_or_exit`]).
     pub help: bool,
@@ -99,12 +90,11 @@ impl BenchArgs {
                 "--slots" => out.slots = Some(number(&value(&mut args, &flag)?, &flag)?),
                 "--chains" => out.chains = Some(number(&value(&mut args, &flag)?, &flag)?),
                 "--workers" => out.workers = Some(number(&value(&mut args, &flag)?, &flag)?),
-                "--threads" => out.threads = Some(number(&value(&mut args, &flag)?, &flag)?),
                 "--help" | "-h" => out.help = true,
                 other => {
                     return Err(format!(
                         "unknown flag {other:?} (expected --events, --seed, --slots, \
-                         --chains, --workers, --threads or --help)"
+                         --chains, --workers or --help)"
                     ))
                 }
             }
@@ -138,14 +128,6 @@ impl BenchArgs {
         self.workers
             .map_or_else(PoolConfig::default, PoolConfig::with_workers)
     }
-
-    /// The slot-kernel thread count this invocation asked for:
-    /// `--threads n` when given (`0` = all cores, resolved by the
-    /// simulator), otherwise the serial default of 1.
-    #[must_use]
-    pub fn sim_threads(&self) -> usize {
-        self.threads.unwrap_or(1)
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +156,6 @@ mod tests {
             "42",
             "--workers",
             "3",
-            "--threads",
-            "4",
         ])
         .unwrap();
         assert_eq!(args.events.as_deref(), Some("/tmp/e.jsonl"));
@@ -183,16 +163,13 @@ mod tests {
         assert_eq!(args.slots, Some(120));
         assert_eq!(args.chains, Some(42));
         assert_eq!(args.workers, Some(3));
-        assert_eq!(args.threads, Some(4));
         assert_eq!(args.pool(), PoolConfig::with_workers(3));
-        assert_eq!(args.sim_threads(), 4);
     }
 
     #[test]
     fn unknown_flags_error_instead_of_being_ignored() {
         let err = parse(&["--seeds", "9"]).unwrap_err();
         assert!(err.contains("--seeds"), "{err}");
-        assert!(err.contains("--threads"), "{err}");
     }
 
     #[test]
@@ -201,22 +178,11 @@ mod tests {
         assert!(parse(&["--slots", "many"])
             .unwrap_err()
             .contains("non-negative integer"));
-        assert!(parse(&["--threads", "-2"])
-            .unwrap_err()
-            .contains("non-negative integer"));
     }
 
     #[test]
     fn default_pool_uses_available_parallelism() {
         assert_eq!(parse(&[]).unwrap().pool(), PoolConfig::default());
-    }
-
-    #[test]
-    fn threads_defaults_to_serial() {
-        assert_eq!(parse(&[]).unwrap().sim_threads(), 1);
-        // 0 passes through verbatim: "all cores" is the simulator's
-        // resolution to make, not the parser's.
-        assert_eq!(parse(&["--threads", "0"]).unwrap().sim_threads(), 0);
     }
 
     #[test]
@@ -228,14 +194,7 @@ mod tests {
 
     #[test]
     fn usage_documents_every_flag() {
-        for flag in [
-            "--events",
-            "--seed",
-            "--slots",
-            "--chains",
-            "--workers",
-            "--threads",
-        ] {
+        for flag in ["--events", "--seed", "--slots", "--chains", "--workers"] {
             assert!(USAGE.contains(flag), "USAGE is missing {flag}");
         }
     }

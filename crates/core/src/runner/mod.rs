@@ -29,10 +29,9 @@
 //!   finished callbacks on the coordinating thread, with
 //!   [`StderrTicker`] as the ready-made ticker for the long-running
 //!   figure binaries. [`NoProgress`] discards everything.
-//! * [`fork`] — scoped fork-join for *intra*-simulation parallelism:
-//!   the sharded slot kernel runs its per-shard column sweeps through
-//!   [`fork_join`], joining before the phase pipeline continues (see
-//!   `sim/shard.rs` and DESIGN.md §16).
+//!
+//! The pool is the only place simulations run in parallel: each
+//! simulation's slot loop is serial (DESIGN.md §16 records why).
 //!
 //! # Determinism contract
 //!
@@ -57,12 +56,10 @@
 //! [`SimResult`]: crate::sim::SimResult
 //! [`Simulator::new`]: crate::sim::Simulator::new
 
-pub mod fork;
 pub mod pool;
 pub mod progress;
 pub mod reduce;
 
-pub use fork::fork_join;
 pub use pool::{run_batch, PoolConfig};
 pub use progress::{NoProgress, Progress, StderrTicker};
 pub use reduce::{CollectAll, Reduce};

@@ -8,62 +8,13 @@
 //! per-node share is marked on every awake node, then a second sweep
 //! spends marked credits in index order (the same order the old
 //! participant list walked, without allocating it).
-//!
-//! The balancer call itself is inherently serial (it sees the whole
-//! chain at once and draws from the global RNG stream); only the final
-//! credit-spend sweep is element-wise, so that is the part that shards
-//! when `threads > 1`.
 
 use super::columns::{self, NodeColumns};
 use super::ctx::{Package, SlotCtx};
 use super::event::{RadioPurpose, SimEvent};
-use super::shard::{drive, ColumnsShard, Sweep};
 use super::{BalancerKind, Simulator};
 use crate::balance::{ChainBalanceInput, FogTask, NodeBalanceState, RouteContext};
 use neofog_types::{Energy, NodeId};
-
-/// The balance-credit spend sweep: pays every marked share in index
-/// order and clears the credit column behind itself.
-struct CreditSweep;
-
-impl Sweep for CreditSweep {
-    fn sweep<E: FnMut(SimEvent)>(
-        &self,
-        shard: &mut ColumnsShard<'_>,
-        _pkg: &mut Vec<Package>,
-        mut emit: E,
-    ) {
-        let ColumnsShard {
-            base,
-            cap,
-            direct_left,
-            balance_credit,
-            ledgers,
-            direct_eff,
-            discharge_eff,
-            ..
-        } = shard;
-        for (local, (((credit, cap), direct_left), ledger)) in balance_credit
-            .iter_mut()
-            .zip(cap.iter_mut())
-            .zip(direct_left.iter_mut())
-            .zip(ledgers.iter_mut())
-            .enumerate()
-        {
-            if *credit == Energy::ZERO {
-                continue;
-            }
-            let share = *credit;
-            *credit = Energy::ZERO;
-            columns::spend_budget(direct_left, *direct_eff, *discharge_eff, cap, ledger, share);
-            emit(SimEvent::RadioCharged {
-                node: *base + local,
-                energy: share,
-                purpose: RadioPurpose::Balance,
-            });
-        }
-    }
-}
 
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     if !sim.cfg.system.is_fog_capable() || matches!(sim.cfg.balancer, BalancerKind::None) {
@@ -199,39 +150,46 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                 .cfg
                 .system
                 .rx_cost(parts.rf, parts.cfg.node.package.raw_bytes);
-        let participants = {
-            let NodeColumns {
-                awake,
-                balance_credit,
-                ..
-            } = cols;
-            let participants = awake.iter().filter(|&&a| a).count();
-            if participants > 0 {
-                let share = per_hop * report.transfer_hops as f64 / participants as f64;
-                // Mark the share on every awake node...
-                for (credit, &awake) in balance_credit.iter_mut().zip(awake.iter()) {
-                    if awake {
-                        *credit = share;
-                    }
+        let direct_eff = cols.direct_eff;
+        let discharge_eff = cols.discharge_eff;
+        let NodeColumns {
+            cap,
+            direct_left,
+            awake,
+            balance_credit,
+            ..
+        } = cols;
+        let participants = awake.iter().filter(|&&a| a).count();
+        if participants > 0 {
+            let share = per_hop * report.transfer_hops as f64 / participants as f64;
+            // Mark the share on every awake node...
+            for (credit, &awake) in balance_credit.iter_mut().zip(awake.iter()) {
+                if awake {
+                    *credit = share;
                 }
             }
-            participants
-        };
-        // ...then spend marked credits in index order (sharded when
-        // threaded — credits are per-node, so the sweep partitions
-        // cleanly). The share is charged whether or not the spend
-        // lands in full — the airtime happened either way.
-        if participants > 0 {
-            drive(
-                cols,
-                &mut ctx.ledgers,
-                &mut ctx.shards,
-                parts.threads,
-                parts.cfg.positions,
-                parts.cfg.multiplex as usize,
-                &mut bus,
-                &CreditSweep,
-            );
+            // ...then spend marked credits in index order. The share
+            // is charged whether or not the spend lands in full — the
+            // airtime happened either way.
+            for (i, (((credit, cap), direct_left), ledger)) in balance_credit
+                .iter_mut()
+                .zip(cap.iter_mut())
+                .zip(direct_left.iter_mut())
+                .zip(ctx.ledgers.iter_mut())
+                .enumerate()
+            {
+                if *credit == Energy::ZERO {
+                    continue;
+                }
+                let share = *credit;
+                *credit = Energy::ZERO;
+                columns::spend_budget(direct_left, direct_eff, discharge_eff, cap, ledger, share);
+                bus.emit(&SimEvent::RadioCharged {
+                    node: i,
+                    energy: share,
+                    purpose: RadioPurpose::Balance,
+                });
+            }
         }
     }
 }

@@ -318,6 +318,26 @@ impl NodeColumns {
             *depth = cold.pending.len() as u32;
         }
     }
+
+    /// A row lens over node `i` (disjoint `&mut`s; see [`NodeView`]).
+    pub(crate) fn view(&mut self, i: usize) -> NodeView<'_> {
+        let cold = &mut self.cold[i];
+        NodeView {
+            cfg: &cold.cfg,
+            cap: &mut self.cap[i],
+            pending: &mut cold.pending,
+            outbox: &mut cold.outbox,
+            rng: &mut cold.rng,
+            fifo_depth: &mut self.fifo_depth[i],
+            direct_left: &mut self.direct_left[i],
+            position: self.position[i],
+            hops_to_sink: self.hops_to_sink[i],
+            caps: cold.caps,
+            income_power: self.income_power[i],
+            direct_eff: self.direct_eff,
+            discharge_eff: self.discharge_eff,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -15,45 +15,26 @@
 //! row lens; the budget spends use the split-borrow free functions
 //! because the head package stays borrowed across them.
 //!
-//! Both loops are per-node independent, so each runs as its own shard
-//! sweep when `threads > 1` — execution completes fleet-wide before
-//! shedding starts, exactly as the serial order has it, and the stale
-//! partition uses the *shard's* package scratch so workers never share
-//! a buffer.
-//!
 //! [`NodeView`]: super::columns::NodeView
 
 use super::columns;
-use super::ctx::{Package, SlotCtx};
+use super::ctx::SlotCtx;
 use super::event::{ShedReason, SimEvent};
-use super::shard::{drive, ColumnsShard, Sweep};
 use super::Simulator;
-use neofog_nvp::SpendthriftPolicy;
-use neofog_rf::RfTimings;
-use neofog_types::{Duration, Power};
+use neofog_types::Power;
 
-/// The fog-execution sweep: runs head-of-queue tasks on every node
-/// with a non-empty FIFO.
-struct ExecSweep<'a> {
-    slot_len: Duration,
-    spendthrift: &'a SpendthriftPolicy,
-    rf: &'a RfTimings,
-}
+pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
+    let fog_capable = sim.cfg.system.is_fog_capable();
+    let (parts, mut bus) = sim.split();
+    let slot_len = parts.cfg.slot_len;
 
-impl Sweep for ExecSweep<'_> {
-    fn sweep<E: FnMut(SimEvent)>(
-        &self,
-        shard: &mut ColumnsShard<'_>,
-        _pkg: &mut Vec<Package>,
-        mut emit: E,
-    ) {
-        let slot_len = self.slot_len;
-        for local in 0..shard.len() {
-            if shard.fifo_depth[local] == 0 {
+    if fog_capable {
+        for i in 0..parts.nodes.len() {
+            if parts.nodes.fifo_depth[i] == 0 {
                 continue;
             }
-            let node = shard.base + local;
-            let (view, ledger) = shard.view_ledger(local);
+            let view = parts.nodes.view(i);
+            let ledger = &mut ctx.ledgers[i];
             // Spendthrift samples both income power and the stored-energy
             // level (§2.2/§4): the effective sustainable power this slot is
             // the income plus what the capacitor could contribute, so a
@@ -66,20 +47,20 @@ impl Sweep for ExecSweep<'_> {
                 + Power::from_milliwatts(
                     0.5 * view.available().as_nanojoules() / slot_len.as_micros() as f64,
                 );
-            let lvl = self.spendthrift.choose(effective);
+            let lvl = parts.spendthrift.choose(effective);
             // The tier capability scales execution speed (gateways and
             // cloud nodes run faster silicon); sensors are 1.0, so the
             // chain goldens see an exact ×1.0 multiply.
             let (epi, throughput) = (
                 lvl.energy_per_inst,
-                self.spendthrift.throughput(effective) * view.caps.compute_rate,
+                parts.spendthrift.throughput(effective) * view.caps.compute_rate,
             );
             // Keep a transmit reserve so computing never starves shipping.
-            let reserve = view.cfg.radio.session_cost(self.rf)
+            let reserve = view.cfg.radio.session_cost(parts.rf)
                 + view
                     .cfg
                     .radio
-                    .packet_cost(self.rf, view.cfg.package.processed_bytes);
+                    .packet_cost(parts.rf, view.cfg.package.processed_bytes);
             let mut time_left = (throughput * slot_len.as_secs_f64()) as u64;
             while time_left > 0 {
                 let Some(pkg) = view.pending.first_mut() else {
@@ -108,8 +89,8 @@ impl Sweep for ExecSweep<'_> {
                 ) {
                     break;
                 }
-                emit(SimEvent::FogProgressed {
-                    node,
+                bus.emit(&SimEvent::FogProgressed {
+                    node: i,
                     instructions: run,
                     energy: cost,
                 });
@@ -120,100 +101,47 @@ impl Sweep for ExecSweep<'_> {
                     let finished = view.pending.remove(0);
                     view.outbox.push(finished);
                     *view.fifo_depth -= 1;
-                    emit(SimEvent::FogCompleted { node });
+                    bus.emit(&SimEvent::FogCompleted { node: i });
                 }
             }
         }
-    }
-}
-
-/// The stale-shed sweep: drops (or ships raw) pending packages that
-/// never started executing and have aged past the staleness window.
-struct ShedSweep {
-    slot: u64,
-}
-
-impl Sweep for ShedSweep {
-    fn sweep<E: FnMut(SimEvent)>(
-        &self,
-        shard: &mut ColumnsShard<'_>,
-        pkg: &mut Vec<Package>,
-        mut emit: E,
-    ) {
-        let stale_after = 20;
-        for local in 0..shard.len() {
-            if shard.fifo_depth[local] == 0 {
-                continue;
-            }
-            let node = shard.base + local;
-            let view = shard.view(local);
-            let fog_len = view.cfg.package.fog_instructions;
-            // Packages with execution progress are never shed — killing
-            // a half-finished head would waste the energy already sunk.
-            // Partition through the shard's package scratch (retain
-            // keeps order, like the drain/partition it replaces,
-            // without allocating).
-            let stale = &mut *pkg;
-            stale.clear();
-            view.pending.retain(|p| {
-                let is_stale =
-                    p.fog_remaining == fog_len && self.slot.saturating_sub(p.created) > stale_after;
-                if is_stale {
-                    stale.push(*p);
-                }
-                !is_stale
-            });
-            *view.fifo_depth = view.pending.len() as u32;
-            if view.cap.fraction() > 0.6 {
-                view.outbox.extend_from_slice(stale);
-            } else if !stale.is_empty() {
-                emit(SimEvent::PackageShed {
-                    node,
-                    count: stale.len() as u64,
-                    reason: ShedReason::Stale,
-                });
-            }
-        }
-    }
-}
-
-pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
-    let fog_capable = sim.cfg.system.is_fog_capable();
-    let (parts, mut bus) = sim.split();
-    let n_pos = parts.cfg.positions;
-    let multiplex = parts.cfg.multiplex as usize;
-
-    if fog_capable {
-        let exec = ExecSweep {
-            slot_len: parts.cfg.slot_len,
-            spendthrift: parts.spendthrift,
-            rf: parts.rf,
-        };
-        drive(
-            parts.nodes,
-            &mut ctx.ledgers,
-            &mut ctx.shards,
-            parts.threads,
-            n_pos,
-            multiplex,
-            &mut bus,
-            &exec,
-        );
     }
 
     // Stale pending packages: a node flush with energy ships them
     // raw to the cloud; otherwise "the sampled data are discarded"
     // (§5.1). An empty FIFO has nothing to shed and emits nothing —
     // the depth column skips the whole row.
-    let shed = ShedSweep { slot: ctx.slot };
-    drive(
-        parts.nodes,
-        &mut ctx.ledgers,
-        &mut ctx.shards,
-        parts.threads,
-        n_pos,
-        multiplex,
-        &mut bus,
-        &shed,
-    );
+    let stale_after = 20;
+    let slot = ctx.slot;
+    for i in 0..parts.nodes.len() {
+        if parts.nodes.fifo_depth[i] == 0 {
+            continue;
+        }
+        let view = parts.nodes.view(i);
+        let fog_len = view.cfg.package.fog_instructions;
+        // Packages with execution progress are never shed — killing
+        // a half-finished head would waste the energy already sunk.
+        // Partition through the package scratch (retain keeps order,
+        // like the drain/partition it replaces, without allocating).
+        let stale = &mut ctx.pkg_scratch;
+        stale.clear();
+        view.pending.retain(|p| {
+            let is_stale =
+                p.fog_remaining == fog_len && slot.saturating_sub(p.created) > stale_after;
+            if is_stale {
+                stale.push(*p);
+            }
+            !is_stale
+        });
+        *view.fifo_depth = view.pending.len() as u32;
+        if view.cap.fraction() > 0.6 {
+            view.outbox.extend_from_slice(stale);
+        } else if !stale.is_empty() {
+            bus.emit(&SimEvent::PackageShed {
+                node: i,
+                count: stale.len() as u64,
+                reason: ShedReason::Stale,
+            });
+        }
+    }
 }

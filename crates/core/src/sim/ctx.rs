@@ -13,7 +13,6 @@
 
 use super::columns::NodeColumns;
 use super::ledger::EnergyLedger;
-use super::shard::{pos_per_shard, ShardScratch};
 use crate::balance::OffloadDecision;
 use crate::node::{NodeCapabilities, NodeConfig};
 use crate::sim::SimConfig;
@@ -26,8 +25,8 @@ use serde::{Deserialize, Serialize};
 /// newer samples beyond this.
 pub(crate) const MAX_PENDING: usize = 8;
 
-/// Initial capacity for the per-node package queues and the package
-/// scratch. `pending` is hard-capped at [`MAX_PENDING`]; the outbox
+/// Initial capacity for the per-node package queues. `pending` is
+/// hard-capped at [`MAX_PENDING`]; the outbox
 /// backlog tracks it closely (admission control throttles inflow to
 /// one capture per wake plus what fog processing releases), so 2× is
 /// enough that steady-state slots never regrow the queues.
@@ -95,38 +94,24 @@ pub(crate) struct SlotCtx {
     pub(crate) route_acc: Vec<u64>,
     /// Balance-phase scratch: offload decisions taken this slot.
     pub(crate) offload: Vec<OffloadDecision>,
-    /// Per-shard scratch for the parallel sweeps: event buffers,
-    /// package scratch and fold partials, one per configured worker
-    /// (always at least one — the serial path uses `shards[0].pkg`).
-    pub(crate) shards: Vec<ShardScratch>,
+    /// General package scratch (transmit ordering, stale shedding);
+    /// every user clears it before use.
+    pub(crate) pkg_scratch: Vec<Package>,
 }
 
 impl SlotCtx {
-    /// A scratch context whose vectors are pre-sized for `n_phys`
-    /// physical nodes, `n_pos` chain positions and `threads` shard
-    /// workers, so even the first slots only fill — never grow — them.
-    pub(crate) fn warmed(n_phys: usize, n_pos: usize, threads: usize) -> Self {
+    /// A scratch context whose fleet-sized vectors are pre-sized for
+    /// `n_phys` physical nodes and `n_pos` chain positions, so even the
+    /// first slots only fill — never grow — them. The package scratch
+    /// holds one node's queue at a time and grows to that size in the
+    /// first slots that use it.
+    pub(crate) fn warmed(n_phys: usize, n_pos: usize) -> Self {
         let mut ctx = SlotCtx::default();
         ctx.ledgers.reserve(n_phys);
         ctx.forward_bytes.reserve(n_pos);
         ctx.route_acc.reserve(n_pos);
         ctx.offload.reserve(n_pos);
-        ctx.warm_shards(n_phys, n_pos, threads);
         ctx
-    }
-
-    /// (Re)sizes the per-shard scratch for `threads` workers; called
-    /// at construction and when the thread count changes mid-life
-    /// (benchmark reuse via [`Simulator::set_threads`]).
-    ///
-    /// [`Simulator::set_threads`]: super::Simulator::set_threads
-    pub(crate) fn warm_shards(&mut self, n_phys: usize, n_pos: usize, threads: usize) {
-        let shards = threads.min(n_pos).max(1);
-        let per = pos_per_shard(n_pos, shards);
-        let multiplex = n_phys / n_pos.max(1);
-        self.shards.clear();
-        self.shards
-            .extend((0..shards).map(|_| ShardScratch::warmed(per * multiplex.max(1))));
     }
 
     /// Resets the context for `slot`, opening one ledger per node.
@@ -143,10 +128,6 @@ impl SlotCtx {
         self.forward_bytes.clear();
         self.route_acc.clear();
         self.offload.clear();
-        for shard in &mut self.shards {
-            shard.events.clear();
-            shard.pkg.clear();
-            shard.fold_total = 0;
-        }
+        self.pkg_scratch.clear();
     }
 }

@@ -60,7 +60,6 @@ mod event;
 mod harvest;
 mod ledger;
 mod observe;
-mod shard;
 mod slot_end;
 mod transmit;
 mod wake;
@@ -192,12 +191,6 @@ pub struct SimConfig {
     /// Write a deterministic JSONL event log to this path (see
     /// [`EventLogObserver`]); `None` disables logging.
     pub events_path: Option<String>,
-    /// Worker threads for the sharded slot kernel: `1` (the default)
-    /// runs today's serial path, `0` resolves to the machine's
-    /// available parallelism, and any other value forks that many
-    /// position-aligned shards per element-wise phase. Every value
-    /// produces a byte-identical event log (see `sim/shard.rs`).
-    pub threads: usize,
 }
 
 impl SimConfig {
@@ -241,7 +234,6 @@ impl SimConfig {
             },
             income_scale: 1.0,
             events_path: None,
-            threads: 1,
         }
     }
 
@@ -296,22 +288,8 @@ pub struct Simulator {
     /// Reusable per-slot scratch: cleared and refilled every slot so
     /// the steady-state loop allocates nothing after warm-up.
     scratch: SlotCtx,
-    /// Resolved shard-kernel worker count (`cfg.threads` with `0`
-    /// replaced by the machine's available parallelism; always ≥ 1).
-    threads: usize,
     /// Slots advanced so far (see [`Simulator::advance`]).
     next_slot: u64,
-}
-
-/// Resolves a [`SimConfig::threads`] knob to a concrete worker count:
-/// `0` means the machine's available parallelism (the same recipe the
-/// work-stealing pool uses), anything else is taken as-is, floored at 1.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(4, std::num::NonZero::get)
-    } else {
-        threads
-    }
 }
 
 /// The simulation state a phase may read and mutate, split from the
@@ -328,8 +306,6 @@ pub(crate) struct SimParts<'a> {
     pub(crate) rf: &'a RfTimings,
     pub(crate) spendthrift: &'a SpendthriftPolicy,
     pub(crate) rng: &'a mut SimRng,
-    /// Resolved shard-kernel worker count (see [`SimConfig::threads`]).
-    pub(crate) threads: usize,
 }
 
 impl Simulator {
@@ -402,7 +378,6 @@ impl Simulator {
         if let Some(path) = &cfg.events_path {
             observers.push(Box::new(EventLogObserver::create(path)?));
         }
-        let threads = resolve_threads(cfg.threads);
         Ok(Simulator {
             nodes,
             positions,
@@ -416,23 +391,10 @@ impl Simulator {
             metrics,
             trace,
             observers,
-            scratch: SlotCtx::warmed(physical, cfg.positions, threads),
-            threads,
+            scratch: SlotCtx::warmed(physical, cfg.positions),
             next_slot: 0,
             cfg,
         })
-    }
-
-    /// Changes the shard-kernel worker count mid-life (`0` = available
-    /// parallelism), re-warming the per-shard scratch. Determinism is
-    /// unaffected — every thread count produces the same event stream —
-    /// so benchmarks reuse one built simulator across thread variants.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = resolve_threads(threads);
-        self.cfg.threads = threads;
-        let physical = self.nodes.len();
-        self.scratch
-            .warm_shards(physical, self.cfg.positions, self.threads);
     }
 
     /// Attaches an additional observer behind the built-in recorders
@@ -441,11 +403,21 @@ impl Simulator {
         self.observers.push(observer);
     }
 
-    /// FNV-1a digest over the complete durable per-node state:
-    /// capacitor charge, RTC sync, slot flags, queues and RNG streams.
-    /// Two simulators with equal digests hold bit-identical node state
-    /// — the parallel-equivalence tests compare threaded runs against
-    /// the serial path this way.
+    /// FNV-1a digest over part of the per-node state. For each physical
+    /// node in index order it hashes: the main capacitor's stored
+    /// energy, the RTC's sync bit, the FIFO depth, the unspent direct
+    /// pool, the wake flag, the income power, the balance credit, the
+    /// position, both queues (length, then each package's origin,
+    /// creation slot, remaining instructions and done flag), and the
+    /// next draw of a clone of the node's RNG stream.
+    ///
+    /// Nothing else is hashed: not the RTC capacitor's charge (which
+    /// changes every slot), the schedule cursor, the simulator-wide
+    /// RNG, the balancer, the slot counter or the observers. Equal
+    /// digests therefore mean equal values in the listed fields only.
+    ///
+    /// `perfbench/pins.txt` pins digests that fold this value, so a
+    /// change to what it hashes invalidates every pinned seed.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -565,7 +537,6 @@ impl Simulator {
             trace,
             observers,
             scratch: _,
-            threads,
             next_slot: _,
         } = self;
         (
@@ -580,7 +551,6 @@ impl Simulator {
                 rf,
                 spendthrift,
                 rng,
-                threads: *threads,
             },
             EventBus {
                 metrics,
@@ -726,5 +696,43 @@ mod tests {
         sim.attach_observer(Box::new(Sink));
         let observed = sim.run();
         assert_eq!(plain.metrics, observed.metrics);
+    }
+
+    #[test]
+    fn chunked_advance_matches_one_uninterrupted_run() {
+        let cfg = || {
+            let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+            cfg.slots = 40;
+            cfg
+        };
+        // Advances one simulator by `chunks`, returning its JSONL
+        // event log and final state digest.
+        let advance_in = |tag: &str, chunks: &[u64]| {
+            let path = std::env::temp_dir()
+                .join(format!("neofog-advance-{}-{tag}.jsonl", std::process::id()));
+            let mut logged = cfg();
+            logged.events_path = Some(path.display().to_string());
+            let mut sim = build(logged);
+            for &slots in chunks {
+                sim.advance(slots);
+            }
+            let digest = sim.state_digest();
+            drop(sim); // flushes the log writer
+            let log = std::fs::read(&path).expect("event log written");
+            std::fs::remove_file(&path).ok();
+            (log, digest)
+        };
+        let chunked = advance_in("chunked", &[10, 10, 10]);
+        let whole = advance_in("whole", &[30]);
+        assert!(!whole.0.is_empty());
+        assert!(
+            chunked.0 == whole.0,
+            "chunked event log diverged from advance(30)"
+        );
+        assert_eq!(chunked.1, whole.1);
+
+        let mut sim = build(cfg());
+        sim.advance(12);
+        assert_eq!(sim.run().metrics, build(cfg()).run().metrics);
     }
 }

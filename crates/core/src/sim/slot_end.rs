@@ -10,100 +10,68 @@
 //! against the cold rows; the metered capacitor accessors
 //! (`charge_metered`, `leak_metered`) return the deltas the ledger
 //! books, so each element is a single call instead of a
-//! read-mutate-read sequence. Settlement is per-node too, so the
-//! whole phase shards cleanly.
+//! read-mutate-read sequence.
 
-use super::columns;
-use super::ctx::{Package, SlotCtx};
+use super::columns::{self, NodeColumns};
+use super::ctx::SlotCtx;
 use super::event::{ShedReason, SimEvent};
-use super::shard::{drive, ColumnsShard, Sweep};
 use super::Simulator;
-use neofog_types::{Duration, Energy};
-
-/// The per-slot scalars the slot-end sweep closes over.
-struct SlotEndSweep {
-    slot_len: Duration,
-    retains_state: bool,
-}
-
-impl Sweep for SlotEndSweep {
-    fn sweep<E: FnMut(SimEvent)>(
-        &self,
-        shard: &mut ColumnsShard<'_>,
-        _pkg: &mut Vec<Package>,
-        mut emit: E,
-    ) {
-        let ColumnsShard {
-            base,
-            cap,
-            fifo_depth,
-            direct_left,
-            cold,
-            ledgers,
-            direct_eff,
-            ..
-        } = shard;
-        for (local, ((((cap, direct_left), fifo_depth), cold), ledger)) in cap
-            .iter_mut()
-            .zip(direct_left.iter_mut())
-            .zip(fifo_depth.iter_mut())
-            .zip(cold.iter_mut())
-            .zip(ledgers.iter_mut())
-            .enumerate()
-        {
-            let node = *base + local;
-            // Unspent direct income charges the capacitor.
-            let leftover = columns::leftover_income(direct_left, *direct_eff);
-            if leftover > Energy::ZERO {
-                let receipt = cap.charge_metered(leftover);
-                ledger.debit_loss(leftover.saturating_sub(receipt.banked));
-                emit(SimEvent::CapacitorOverflow {
-                    node,
-                    rejected: receipt.rejected,
-                });
-            }
-            let leaked = cap.leak_metered(self.slot_len);
-            ledger.debit_leak(leaked);
-            if !self.retains_state {
-                // Volatile node: queues evaporate at power-down.
-                let lost = (cold.pending.len() + cold.outbox.len()) as u64;
-                if lost > 0 {
-                    emit(SimEvent::PackageShed {
-                        node,
-                        count: lost,
-                        reason: ShedReason::Volatile,
-                    });
-                }
-                cold.pending.clear();
-                cold.outbox.clear();
-                *fifo_depth = 0;
-            }
-            emit(SimEvent::CapacitorLeaked {
-                node,
-                leaked,
-                stored: cap.stored(),
-            });
-            if let Some(settled) = ledger.settlement(node, cap.stored()) {
-                emit(settled);
-            }
-        }
-    }
-}
+use neofog_types::Energy;
 
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let (parts, mut bus) = sim.split();
-    let sweep = SlotEndSweep {
-        slot_len: parts.cfg.slot_len,
-        retains_state: parts.cfg.system.retains_state(),
-    };
-    drive(
-        parts.nodes,
-        &mut ctx.ledgers,
-        &mut ctx.shards,
-        parts.threads,
-        parts.cfg.positions,
-        parts.cfg.multiplex as usize,
-        &mut bus,
-        &sweep,
-    );
+    let system = parts.cfg.system;
+    let slot_len = parts.cfg.slot_len;
+    let retains_state = system.retains_state();
+    let direct_eff = parts.nodes.direct_eff;
+    let NodeColumns {
+        cap,
+        fifo_depth,
+        direct_left,
+        cold,
+        ..
+    } = &mut *parts.nodes;
+    for (i, ((((cap, direct_left), fifo_depth), cold), ledger)) in cap
+        .iter_mut()
+        .zip(direct_left.iter_mut())
+        .zip(fifo_depth.iter_mut())
+        .zip(cold.iter_mut())
+        .zip(ctx.ledgers.iter_mut())
+        .enumerate()
+    {
+        // Unspent direct income charges the capacitor.
+        let leftover = columns::leftover_income(direct_left, direct_eff);
+        if leftover > Energy::ZERO {
+            let receipt = cap.charge_metered(leftover);
+            ledger.debit_loss(leftover.saturating_sub(receipt.banked));
+            bus.emit(&SimEvent::CapacitorOverflow {
+                node: i,
+                rejected: receipt.rejected,
+            });
+        }
+        let leaked = cap.leak_metered(slot_len);
+        ledger.debit_leak(leaked);
+        if !retains_state {
+            // Volatile node: queues evaporate at power-down.
+            let lost = (cold.pending.len() + cold.outbox.len()) as u64;
+            if lost > 0 {
+                bus.emit(&SimEvent::PackageShed {
+                    node: i,
+                    count: lost,
+                    reason: ShedReason::Volatile,
+                });
+            }
+            cold.pending.clear();
+            cold.outbox.clear();
+            *fifo_depth = 0;
+        }
+        bus.emit(&SimEvent::CapacitorLeaked {
+            node: i,
+            leaked,
+            stored: cap.stored(),
+        });
+        if let Some(settled) = ledger.settlement(i, cap.stored()) {
+            bus.emit(&settled);
+        }
+    }
 }

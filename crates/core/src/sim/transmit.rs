@@ -18,311 +18,141 @@
 //! same order, bit-identical charged duties. The row pipeline walked
 //! `forward_bytes[0..pos]` per packet, which made a full-chain slot
 //! O(positions²); the sweep is O(positions) on any topology.
-//!
-//! # Sharding
-//!
-//! The phase runs in three rounds when `threads > 1`:
-//!
-//! 1. **Send** — per-shard sweep. The `forward_bytes[position]` marks
-//!    are the only per-position writes, and shard boundaries are
-//!    position-aligned, so each shard owns a disjoint
-//!    `forward_bytes` segment (`chunks_mut`). Each shard also totals
-//!    its segment into [`ShardScratch::fold_total`] for round 2.
-//! 2. **Fold** — on a chain, the suffix-sum distributes: shard `k`'s
-//!    duties equal its local reverse suffix-sum plus a carry (the
-//!    total bytes sourced by shards `k+1..`), so the coordinator
-//!    combines the per-shard totals in fixed (descending-shard) order
-//!    into carries — `u64` addition is associative and exact, so the
-//!    duties are bit-identical to the serial sweep — and the apply
-//!    pass forks again. Non-chain topologies keep the serial
-//!    O(positions) route-plan fold: it is not the bottleneck and its
-//!    child-order would need per-shard O(positions) scratch to split.
-//! 3. **Relay duty** — per-shard sweep over positions; each
-//!    position's awake representative lives in the shard that owns
-//!    the position, so the charge writes stay shard-local.
-//!
-//! Events are spliced after round 1 and again after round 3, which
-//! reproduces the serial sequence: all session/packet events in node
-//! order, then all relay charges in position order.
 
-use super::ctx::{Package, SlotCtx};
+use super::ctx::SlotCtx;
 use super::event::{RadioPurpose, SimEvent};
-use super::shard::{full, pos_per_shard, splice, ColumnsShard, ShardIter, ShardScratch};
 use super::Simulator;
-use crate::node::RadioControl;
-use crate::runner::fork::fork_join;
-use neofog_rf::{LossModel, RfTimings};
-use neofog_types::{Duration, Energy};
+use neofog_types::Duration;
 
-/// The per-run scalars the send sweep closes over.
-struct SendSweep<'a> {
-    radio: RadioControl,
-    session: Energy,
-    rf: &'a RfTimings,
-    loss: &'a LossModel,
-}
+pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
+    let (parts, mut bus) = sim.split();
+    let radio = parts.cfg.node.radio;
+    let session = radio.session_cost(parts.rf);
+    let n_pos = parts.positions.len();
+    // Per-position relay marks this slot, folded into duty below
+    // (scratch vector: capacity persists across slots).
+    ctx.forward_bytes.resize(n_pos, 0);
 
-impl SendSweep<'_> {
-    /// Ships every awake node's outbox, marking relay bytes into the
-    /// shard's `forward_bytes` segment (`fwd[position - pos_base]`).
-    fn sweep<E: FnMut(SimEvent)>(
-        &self,
-        shard: &mut ColumnsShard<'_>,
-        pkg: &mut Vec<Package>,
-        fwd: &mut [u64],
-        mut emit: E,
-    ) {
-        for local in 0..shard.len() {
-            if !shard.awake[local] {
-                continue;
-            }
-            let node = shard.base + local;
-            let pos_base = shard.pos_base;
-            let (mut view, ledger) = shard.view_ledger(local);
-            if view.outbox.is_empty() {
-                continue;
-            }
-            let local_pos = view.position - pos_base;
-            // Processed packages first: smaller and more valuable. A
-            // stable two-pass partition through the package scratch
-            // keeps the relative order `sort_by_key` gave without its
-            // potential temporary allocation.
-            pkg.clear();
-            pkg.extend(view.outbox.iter().filter(|p| p.fog_done));
-            pkg.extend(view.outbox.iter().filter(|p| !p.fog_done));
-            view.outbox.clear();
-            view.outbox.extend_from_slice(pkg);
-            // Open the session only when the first packet is payable
-            // too — bringing the radio up and then browning out before
-            // anything is sent would waste the whole session.
-            let first = view.outbox[0];
-            let first_bytes = if first.fog_done {
+    for i in 0..parts.nodes.len() {
+        if !parts.nodes.awake[i] {
+            continue;
+        }
+        let mut view = parts.nodes.view(i);
+        if view.outbox.is_empty() {
+            continue;
+        }
+        let position = view.position;
+        // Processed packages first: smaller and more valuable. A
+        // stable two-pass partition through the package scratch keeps
+        // the relative order `sort_by_key` gave without its potential
+        // temporary allocation.
+        ctx.pkg_scratch.clear();
+        ctx.pkg_scratch
+            .extend(view.outbox.iter().filter(|p| p.fog_done));
+        ctx.pkg_scratch
+            .extend(view.outbox.iter().filter(|p| !p.fog_done));
+        view.outbox.clear();
+        view.outbox.extend_from_slice(&ctx.pkg_scratch);
+        // Open the session only when the first packet is payable
+        // too — bringing the radio up and then browning out before
+        // anything is sent would waste the whole session.
+        let first = view.outbox[0];
+        let first_bytes = if first.fog_done {
+            view.cfg.package.processed_bytes
+        } else {
+            view.cfg.package.raw_bytes
+        };
+        let first_cost = radio.packet_cost(parts.rf, first_bytes);
+        if view.available() < session + first_cost {
+            continue;
+        }
+        if !view.spend(&mut ctx.ledgers[i], session) {
+            continue;
+        }
+        bus.emit(&SimEvent::RadioCharged {
+            node: i,
+            energy: session,
+            purpose: RadioPurpose::Session,
+        });
+        let hops = view.hops_to_sink; // route-plan hops to the sink edge
+        while let Some(pkg) = view.outbox.first().copied() {
+            let bytes = if pkg.fog_done {
                 view.cfg.package.processed_bytes
             } else {
                 view.cfg.package.raw_bytes
             };
-            let first_cost = self.radio.packet_cost(self.rf, first_bytes);
-            if view.available() < self.session + first_cost {
-                continue;
+            let cost = radio.packet_cost(parts.rf, bytes);
+            if !view.spend(&mut ctx.ledgers[i], cost) {
+                break;
             }
-            if !view.spend(ledger, self.session) {
-                continue;
-            }
-            emit(SimEvent::RadioCharged {
-                node,
-                energy: self.session,
-                purpose: RadioPurpose::Session,
+            bus.emit(&SimEvent::RadioCharged {
+                node: i,
+                energy: cost,
+                purpose: RadioPurpose::Packet,
             });
-            let hops = view.hops_to_sink; // route-plan hops to the sink edge
-            while let Some(pkg) = view.outbox.first().copied() {
-                let bytes = if pkg.fog_done {
-                    view.cfg.package.processed_bytes
-                } else {
-                    view.cfg.package.raw_bytes
-                };
-                let cost = self.radio.packet_cost(self.rf, bytes);
-                if !view.spend(ledger, cost) {
-                    break;
-                }
-                emit(SimEvent::RadioCharged {
-                    node,
-                    energy: cost,
-                    purpose: RadioPurpose::Packet,
+            view.outbox.remove(0);
+            // End-to-end delivery through the transparent MAC:
+            // per-hop loss compounded over the chain.
+            let delivered = {
+                let p = parts.loss.chain_success(hops + 1);
+                view.rng.chance(p)
+            };
+            // Relay duty: mark the bytes at the source position; the
+            // route sweep below credits them to every position on the
+            // path to the sink.
+            ctx.forward_bytes[position] += u64::from(bytes);
+            let origin = pkg.origin;
+            if delivered {
+                bus.emit(&SimEvent::PackageDelivered {
+                    origin,
+                    fog_done: pkg.fog_done,
                 });
-                view.outbox.remove(0);
-                // End-to-end delivery through the transparent MAC:
-                // per-hop loss compounded over the chain.
-                let delivered = {
-                    let p = self.loss.chain_success(hops + 1);
-                    view.rng.chance(p)
-                };
-                // Relay duty: mark the bytes at the source position;
-                // the route fold below credits them to every position
-                // on the path to the sink.
-                fwd[local_pos] += u64::from(bytes);
-                let origin = pkg.origin;
-                if delivered {
-                    emit(SimEvent::PackageDelivered {
-                        origin,
-                        fog_done: pkg.fog_done,
-                    });
-                } else {
-                    emit(SimEvent::PackageLost { origin });
-                }
+            } else {
+                bus.emit(&SimEvent::PackageLost { origin });
             }
         }
     }
-}
 
-/// Charges forwarding airtime (RX + TX per byte) to each relay
-/// position's awake representative, scanning the shard's
-/// `forward_bytes` segment.
-fn duty_sweep<E: FnMut(SimEvent)>(
-    shard: &mut ColumnsShard<'_>,
-    fwd: &[u64],
-    positions: &[Vec<usize>],
-    rf: &RfTimings,
-    mut emit: E,
-) {
-    let per_byte = rf.active_power * Duration::from_micros(2 * rf.on_air_per_byte_us);
-    for (local_pos, &bytes) in fwd.iter().enumerate() {
+    // Fold the per-source marks into per-position relay duty with one
+    // pass over the route plan's decreasing-hop order (children before
+    // parents): a position's duty is the byte total sourced at the
+    // positions routing through it. On a chain this degenerates to the
+    // reverse suffix-sum this pass replaced — same additions, same
+    // order, bit-identical duties.
+    ctx.route_acc.resize(n_pos, 0);
+    for &v in parts.route.order() {
+        let v = v as usize;
+        let sourced = ctx.forward_bytes[v];
+        let inherited = ctx.route_acc[v];
+        ctx.forward_bytes[v] = inherited;
+        if let Some(parent) = parts.route.next_hop(v) {
+            ctx.route_acc[parent] += inherited + sourced;
+        }
+    }
+
+    // Charge forwarding airtime to awake representatives of the
+    // relay positions (RX + TX per byte).
+    for (pos, &bytes) in ctx.forward_bytes.iter().enumerate() {
         if bytes == 0 {
             continue;
         }
-        let pos = shard.pos_base + local_pos;
-        let Some(rep) = positions[pos]
+        let Some(rep) = parts.positions[pos]
             .iter()
             .copied()
-            .find(|&i| shard.awake[i - shard.base])
+            .find(|&i| parts.nodes.awake[i])
         else {
             continue;
         };
+        let per_byte =
+            parts.rf.active_power * Duration::from_micros(2 * parts.rf.on_air_per_byte_us);
         let duty = per_byte * bytes as f64;
-        let local = rep - shard.base;
-        let (mut view, ledger) = shard.view_ledger(local);
-        if view.spend(ledger, duty) {
-            emit(SimEvent::RadioCharged {
+        let mut view = parts.nodes.view(rep);
+        if view.spend(&mut ctx.ledgers[rep], duty) {
+            bus.emit(&SimEvent::RadioCharged {
                 node: rep,
                 energy: duty,
                 purpose: RadioPurpose::Relay,
             });
         }
     }
-}
-
-pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
-    let (parts, mut bus) = sim.split();
-    let radio = parts.cfg.node.radio;
-    let send = SendSweep {
-        radio,
-        session: radio.session_cost(parts.rf),
-        rf: parts.rf,
-        loss: parts.loss,
-    };
-    let n_pos = parts.positions.len();
-    // Per-position relay marks this slot, folded into duty below
-    // (scratch vector: capacity persists across slots).
-    ctx.forward_bytes.resize(n_pos, 0);
-
-    let shards = parts.threads.min(n_pos).max(1);
-    if shards <= 1 {
-        // Serial path: one full-range shard, events straight to the bus.
-        let mut shard = full(parts.nodes, &mut ctx.ledgers);
-        let pkg = &mut ctx.shards[0].pkg;
-        send.sweep(&mut shard, pkg, &mut ctx.forward_bytes, |e| bus.emit(&e));
-
-        // Fold the per-source marks into per-position relay duty with
-        // one pass over the route plan's decreasing-hop order (children
-        // before parents): a position's duty is the byte total sourced
-        // at the positions routing through it. On a chain this
-        // degenerates to the reverse suffix-sum this pass replaced —
-        // same additions, same order, bit-identical duties.
-        ctx.route_acc.resize(n_pos, 0);
-        for &v in parts.route.order() {
-            let v = v as usize;
-            let sourced = ctx.forward_bytes[v];
-            let inherited = ctx.route_acc[v];
-            ctx.forward_bytes[v] = inherited;
-            if let Some(parent) = parts.route.next_hop(v) {
-                ctx.route_acc[parent] += inherited + sourced;
-            }
-        }
-
-        duty_sweep(
-            &mut shard,
-            &ctx.forward_bytes,
-            parts.positions,
-            parts.rf,
-            |e| {
-                bus.emit(&e);
-            },
-        );
-        return;
-    }
-
-    let per = pos_per_shard(n_pos, shards);
-    let multiplex = parts.cfg.multiplex as usize;
-
-    // Round 1: per-shard send sweeps over disjoint forward segments,
-    // each totalling its segment for the fold.
-    fork_join(
-        ShardIter::new(parts.nodes, &mut ctx.ledgers, per, multiplex)
-            .zip(ctx.shards.iter_mut())
-            .zip(ctx.forward_bytes.chunks_mut(per))
-            .map(|((mut shard, scratch), fwd)| {
-                let ShardScratch {
-                    events,
-                    pkg,
-                    fold_total,
-                } = scratch;
-                let send = &send;
-                move || {
-                    send.sweep(&mut shard, pkg, fwd, |e| events.push(e));
-                    *fold_total = fwd.iter().sum();
-                }
-            }),
-    );
-    splice(&mut ctx.shards, &mut bus);
-
-    // Round 2: the relay fold.
-    if parts.cfg.topology.is_chain() {
-        // The chain suffix-sum distributes over position segments:
-        // shard k's duty is its local reverse suffix-sum plus the
-        // carry — everything sourced downstream (shards k+1..). The
-        // carries are combined here in fixed descending-shard order;
-        // u64 addition is exact, so this matches the serial fold bit
-        // for bit.
-        let mut carry = 0u64;
-        for scratch in ctx.shards.iter_mut().rev() {
-            let total = scratch.fold_total;
-            scratch.fold_total = carry; // becomes the shard's carry-in
-            carry += total;
-        }
-        fork_join(
-            ctx.forward_bytes
-                .chunks_mut(per)
-                .zip(ctx.shards.iter())
-                .map(|(fwd, scratch)| {
-                    let carry = scratch.fold_total;
-                    move || {
-                        let mut running = carry;
-                        for slot in fwd.iter_mut().rev() {
-                            let sourced = *slot;
-                            *slot = running;
-                            running += sourced;
-                        }
-                    }
-                }),
-        );
-    } else {
-        // General topologies keep the serial O(positions) route-plan
-        // fold: child order is topology-dependent, so splitting it
-        // would need per-shard O(positions) accumulators for no
-        // measurable win (the per-node sweeps dominate).
-        ctx.route_acc.resize(n_pos, 0);
-        for &v in parts.route.order() {
-            let v = v as usize;
-            let sourced = ctx.forward_bytes[v];
-            let inherited = ctx.route_acc[v];
-            ctx.forward_bytes[v] = inherited;
-            if let Some(parent) = parts.route.next_hop(v) {
-                ctx.route_acc[parent] += inherited + sourced;
-            }
-        }
-    }
-
-    // Round 3: per-shard relay-duty charges (each position's
-    // representative lives inside the shard owning the position).
-    fork_join(
-        ShardIter::new(parts.nodes, &mut ctx.ledgers, per, multiplex)
-            .zip(ctx.shards.iter_mut())
-            .zip(ctx.forward_bytes.chunks(per))
-            .map(|((mut shard, scratch), fwd)| {
-                let events = &mut scratch.events;
-                let positions = parts.positions;
-                let rf = parts.rf;
-                move || duty_sweep(&mut shard, fwd, positions, rf, |e| events.push(e))
-            }),
-    );
-    splice(&mut ctx.shards, &mut bus);
 }

@@ -10,50 +10,32 @@
 //!
 //! The admission check reads the FIFO-depth column, not the queue
 //! itself, so a node that stays asleep costs this sweep two column
-//! loads (schedule, RTC sync bit) and nothing from its cold row. The
-//! sampling roll draws from the node's *own* RNG stream, so the sweep
-//! is still per-node independent and shards cleanly.
+//! loads (schedule, RTC sync bit) and nothing from its cold row.
 
-use super::columns;
+use super::columns::{self, NodeColumns};
 use super::ctx::{Package, SlotCtx, MAX_PENDING};
 use super::event::{ShedReason, SimEvent};
-use super::shard::{drive, ColumnsShard, Sweep};
 use super::Simulator;
-use crate::node::SystemKind;
 
-/// The per-slot scalars the wake sweep closes over.
-struct WakeSweep {
-    slot: u64,
-    system: SystemKind,
-    sampling_success: f64,
-    fog_capable: bool,
-}
-
-impl Sweep for WakeSweep {
-    fn sweep<E: FnMut(SimEvent)>(
-        &self,
-        shard: &mut ColumnsShard<'_>,
-        _pkg: &mut Vec<Package>,
-        mut emit: E,
-    ) {
-        let ColumnsShard {
-            base,
-            cap,
-            rtc,
-            schedule,
-            fifo_depth,
-            direct_left,
-            awake,
-            cold,
-            ledgers,
-            direct_eff,
-            discharge_eff,
-            ..
-        } = shard;
-        for (
-            local,
-            (((((((schedule, rtc), cap), direct_left), awake), fifo_depth), cold), ledger),
-        ) in schedule
+pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
+    let (parts, mut bus) = sim.split();
+    let system = parts.cfg.system;
+    let sampling_success = parts.cfg.sampling_success;
+    let fog_capable = system.is_fog_capable();
+    let direct_eff = parts.nodes.direct_eff;
+    let discharge_eff = parts.nodes.discharge_eff;
+    let NodeColumns {
+        cap,
+        rtc,
+        schedule,
+        fifo_depth,
+        direct_left,
+        awake,
+        cold,
+        ..
+    } = &mut *parts.nodes;
+    for (i, (((((((schedule, rtc), cap), direct_left), awake), fifo_depth), cold), ledger)) in
+        schedule
             .iter()
             .zip(rtc.iter())
             .zip(cap.iter_mut())
@@ -61,80 +43,55 @@ impl Sweep for WakeSweep {
             .zip(awake.iter_mut())
             .zip(fifo_depth.iter_mut())
             .zip(cold.iter_mut())
-            .zip(ledgers.iter_mut())
+            .zip(ctx.ledgers.iter_mut())
             .enumerate()
-        {
-            let node = *base + local;
-            let scheduled = schedule.wakes_at(self.slot) && rtc.is_synchronized();
-            if !scheduled {
+    {
+        let scheduled = schedule.wakes_at(ctx.slot) && rtc.is_synchronized();
+        if !scheduled {
+            continue;
+        }
+        if columns::budget_available(*direct_left, discharge_eff, cap) >= system.wake_threshold() {
+            columns::spend_budget(
+                direct_left,
+                direct_eff,
+                discharge_eff,
+                cap,
+                ledger,
+                system.wake_cost(),
+            );
+            *awake = true;
+            bus.emit(&SimEvent::NodeWoke { node: i });
+            // Capture one package (rain can spoil the sample).
+            if !cold.rng.chance(sampling_success) {
                 continue;
             }
-            if columns::budget_available(*direct_left, *discharge_eff, cap)
-                >= self.system.wake_threshold()
-            {
-                columns::spend_budget(
-                    direct_left,
-                    *direct_eff,
-                    *discharge_eff,
-                    cap,
-                    ledger,
-                    self.system.wake_cost(),
-                );
-                *awake = true;
-                emit(SimEvent::NodeWoke { node });
-                // Capture one package (rain can spoil the sample).
-                if !cold.rng.chance(self.sampling_success) {
-                    continue;
-                }
-                emit(SimEvent::PackageCaptured { node });
-                let pkg = Package {
-                    origin: node,
-                    created: self.slot,
-                    fog_remaining: cold.cfg.package.fog_instructions,
-                    fog_done: false,
-                };
-                if self.fog_capable {
-                    // Admission control: the NV buffer holds a bounded
-                    // backlog; beyond it new samples are discarded ("if
-                    // the node lacks energy to process ... the sampled
-                    // data are discarded").
-                    if (*fifo_depth as usize) < MAX_PENDING {
-                        cold.pending.push(pkg);
-                        *fifo_depth += 1;
-                    } else {
-                        emit(SimEvent::PackageShed {
-                            node,
-                            count: 1,
-                            reason: ShedReason::BufferFull,
-                        });
-                    }
+            bus.emit(&SimEvent::PackageCaptured { node: i });
+            let pkg = Package {
+                origin: i,
+                created: ctx.slot,
+                fog_remaining: cold.cfg.package.fog_instructions,
+                fog_done: false,
+            };
+            if fog_capable {
+                // Admission control: the NV buffer holds a bounded
+                // backlog; beyond it new samples are discarded ("if
+                // the node lacks energy to process ... the sampled
+                // data are discarded").
+                if (*fifo_depth as usize) < MAX_PENDING {
+                    cold.pending.push(pkg);
+                    *fifo_depth += 1;
                 } else {
-                    cold.outbox.push(pkg);
+                    bus.emit(&SimEvent::PackageShed {
+                        node: i,
+                        count: 1,
+                        reason: ShedReason::BufferFull,
+                    });
                 }
             } else {
-                emit(SimEvent::WakeFailed { node });
+                cold.outbox.push(pkg);
             }
+        } else {
+            bus.emit(&SimEvent::WakeFailed { node: i });
         }
     }
-}
-
-pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
-    let (parts, mut bus) = sim.split();
-    let system = parts.cfg.system;
-    let sweep = WakeSweep {
-        slot: ctx.slot,
-        system,
-        sampling_success: parts.cfg.sampling_success,
-        fog_capable: system.is_fog_capable(),
-    };
-    drive(
-        parts.nodes,
-        &mut ctx.ledgers,
-        &mut ctx.shards,
-        parts.threads,
-        parts.cfg.positions,
-        parts.cfg.multiplex as usize,
-        &mut bus,
-        &sweep,
-    );
 }

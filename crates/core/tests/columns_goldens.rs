@@ -33,18 +33,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The event log of one run at `threads` workers, with the debug-only
-/// `ledger_settled` lines stripped so debug and release hash
-/// identically.
-fn event_log_fingerprint(system: SystemKind, threads: usize) -> (u64, usize) {
+/// The event log of one run, with the debug-only `ledger_settled`
+/// lines stripped so debug and release hash identically.
+fn event_log_fingerprint(system: SystemKind) -> (u64, usize) {
     let dir = std::env::temp_dir();
     let path = dir.join(format!(
-        "neofog-columns-golden-{}-{}-t{threads}.jsonl",
+        "neofog-columns-golden-{}-{}.jsonl",
         std::process::id(),
         system.label()
     ));
     let mut cfg = quick(system);
-    cfg.threads = threads;
     cfg.events_path = Some(path.display().to_string());
     let _ = Simulator::new(cfg).expect("valid config").run();
     let text = std::fs::read_to_string(&path).expect("event log written");
@@ -73,7 +71,7 @@ const LOG_PINS: &[(SystemKind, u64, usize)] = &[
 #[test]
 fn event_logs_match_pre_refactor_pins() {
     for &(system, pin_hash, pin_lines) in LOG_PINS {
-        let (hash, lines) = event_log_fingerprint(system, 1);
+        let (hash, lines) = event_log_fingerprint(system);
         assert_eq!(
             (hash, lines),
             (pin_hash, pin_lines),
@@ -81,24 +79,5 @@ fn event_logs_match_pre_refactor_pins() {
              (got hash {hash:#018x}, {lines} lines)",
             system.label()
         );
-    }
-}
-
-/// The sharded kernel's headline contract: the SAME pre-refactor pins
-/// hold with the parallel sweeps on — multi-core execution is
-/// invisible at the event level, not merely self-consistent.
-#[test]
-fn threaded_event_logs_match_the_serial_pins() {
-    for &(system, pin_hash, pin_lines) in LOG_PINS {
-        for threads in [3, 8] {
-            let (hash, lines) = event_log_fingerprint(system, threads);
-            assert_eq!(
-                (hash, lines),
-                (pin_hash, pin_lines),
-                "{}: threaded (t={threads}) event log drifted from the serial pin \
-                 (got hash {hash:#018x}, {lines} lines)",
-                system.label()
-            );
-        }
     }
 }

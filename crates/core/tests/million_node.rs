@@ -85,35 +85,3 @@ fn million_node_chain_advances_hundreds_of_slots() {
     assert!(woke.get() > 0, "no node ever woke");
     assert!(delivered.get() > 0, "nothing reached the sink edge");
 }
-
-/// The threads-variant of the 10⁶-node smoke: the sharded kernel
-/// (all available cores) advances the same fleet and — because the
-/// parallel sweeps are deterministic — wakes and delivers *exactly*
-/// as many packages as the serial run above would in the same window.
-#[test]
-#[ignore = "fleet-scale: run in release mode via the nightly job"]
-fn million_node_chain_advances_threaded() {
-    let count = |threads: usize, slots: u64| {
-        let woke = Rc::new(Cell::new(0));
-        let delivered = Rc::new(Cell::new(0));
-        let mut cfg = chain_cfg(1_000_000);
-        cfg.threads = threads;
-        let mut sim = Simulator::new(cfg).expect("valid config");
-        sim.attach_observer(Box::new(Progress {
-            woke: woke.clone(),
-            delivered: delivered.clone(),
-        }));
-        sim.advance(slots);
-        (woke.get(), delivered.get())
-    };
-    // A short serial window pins the expected counts; the threaded run
-    // (0 = all cores) covers the same window and must match exactly.
-    let (serial_woke, serial_delivered) = count(1, 2 * WINDOW_SLOTS);
-    let (woke, delivered) = count(0, 2 * WINDOW_SLOTS);
-    assert!(woke > 0, "no node ever woke under the sharded kernel");
-    assert_eq!(
-        (woke, delivered),
-        (serial_woke, serial_delivered),
-        "threaded progress diverged from serial"
-    );
-}

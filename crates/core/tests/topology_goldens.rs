@@ -13,12 +13,8 @@ use neofog_energy::Scenario;
 use neofog_net::TopologySpec;
 
 fn routed(topology: TopologySpec, tag: &str, run: usize) -> (String, u64) {
-    routed_threaded(topology, tag, run, 1)
-}
-
-fn routed_threaded(topology: TopologySpec, tag: &str, run: usize, threads: usize) -> (String, u64) {
     let path = std::env::temp_dir().join(format!(
-        "neofog-topology-golden-{}-{tag}-{run}-t{threads}.jsonl",
+        "neofog-topology-golden-{}-{tag}-{run}.jsonl",
         std::process::id()
     ));
     let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, 9);
@@ -26,7 +22,6 @@ fn routed_threaded(topology: TopologySpec, tag: &str, run: usize, threads: usize
     cfg.slots = 80;
     cfg.topology = topology;
     cfg.balancer = BalancerKind::Offload;
-    cfg.threads = threads;
     cfg.events_path = Some(path.display().to_string());
     let result = Simulator::new(cfg).expect("valid config").run();
     let text = std::fs::read_to_string(&path).expect("event log written");
@@ -65,32 +60,6 @@ fn tiered_event_log_is_run_twice_identical() {
         "offload balancer resolved no decisions on the tier graph"
     );
     assert!(a.contains("\"kind\":\"offload_decided\""));
-}
-
-/// The non-chain topologies exercise the sharded kernel's serial
-/// route fold (chains take the segmented suffix-sum instead): the
-/// threaded log must still be byte-identical to the serial one.
-#[test]
-fn threaded_mesh_and_tiered_logs_match_serial() {
-    for (topo, tag) in [
-        (
-            TopologySpec::ErdosRenyi {
-                edge_prob: 0.3,
-                seed: 7,
-            },
-            "mesh-par",
-        ),
-        (TopologySpec::Tiered { gateways: 2 }, "tiered-par"),
-    ] {
-        let (serial, _) = routed_threaded(topo, tag, 0, 1);
-        for threads in [3, 8] {
-            let (threaded, _) = routed_threaded(topo, tag, 1, threads);
-            assert_eq!(
-                serial, threaded,
-                "{tag}: threaded (t={threads}) log diverged from serial"
-            );
-        }
-    }
 }
 
 #[test]

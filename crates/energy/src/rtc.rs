@@ -101,7 +101,7 @@ impl Rtc {
     /// Advances simulated time, draining the RTC; if it runs dry the
     /// node desynchronizes. (Named `elapse` rather than `advance` so
     /// the lint call graph never links `tick`'s internal call to
-    /// `Simulator::advance` — see NF-SHARD in DESIGN.md §17.)
+    /// `Simulator::advance`.)
     pub fn elapse(&mut self, elapsed: Duration) {
         let needed = self.draw * elapsed;
         let got = self.cap.discharge_up_to(needed);

@@ -55,30 +55,13 @@ impl Topo {
     }
 }
 
-/// Parses a bench-id middle segment into `(topology, threads)`. A
-/// `-t<N>` suffix names a sharded-kernel variant (`nodes-t8` = chain
-/// advanced with 8 shard threads); a bare segment is the serial
-/// kernel, so the historical ids keep meaning `threads = 1`.
-fn parse_segment(seg: &str) -> Option<(Topo, u64)> {
-    match seg.split_once("-t") {
-        None => Topo::from_segment(seg).map(|t| (t, 1)),
-        Some((base, threads)) => {
-            let threads: u64 = threads.parse().ok().filter(|&t| t >= 1)?;
-            Topo::from_segment(base).map(|t| (t, threads))
-        }
-    }
-}
-
-/// One measured point: a topology, a node count, a shard-thread count
-/// and its cost.
+/// One measured point: a topology, a node count and its cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchEntry {
     /// Topology variant of the sweep point.
     pub topo: Topo,
     /// Chain width (physical nodes).
     pub nodes: u64,
-    /// Slot-kernel shard threads the point ran with (1 = serial).
-    pub threads: u64,
     /// Wall time of one `advance(1)` in nanoseconds.
     pub per_iter_ns: u64,
     /// Node-slots per second (`nodes / per_iter`).
@@ -86,20 +69,9 @@ pub struct BenchEntry {
 }
 
 impl BenchEntry {
-    /// Sort/merge identity of the point. Threads are part of it, so
-    /// `--check` only ever compares like-for-like: a serial
-    /// measurement never gates against a threaded snapshot row.
-    fn key(&self) -> (Topo, u64, u64) {
-        (self.topo, self.nodes, self.threads)
-    }
-
-    /// The bench-id prefix of the point (`nodes/`, `nodes-t8/`, ...).
-    fn id(&self) -> String {
-        if self.threads == 1 {
-            format!("{}/{}", self.topo.segment(), self.nodes)
-        } else {
-            format!("{}-t{}/{}", self.topo.segment(), self.threads, self.nodes)
-        }
+    /// Sort/merge identity of the point.
+    fn key(&self) -> (Topo, u64) {
+        (self.topo, self.nodes)
     }
 }
 
@@ -115,10 +87,9 @@ pub fn parse_bench_output(text: &str) -> Vec<BenchEntry> {
 
 fn parse_bench_line(line: &str) -> Option<BenchEntry> {
     // `slot_kernel/nodes/1000: 170.452µs/iter (5866754 elem/s)`
-    // `slot_kernel/nodes-t8/1000: 61.2µs/iter (16339869 elem/s)`
     let rest = line.strip_prefix(BENCH_GROUP)?.strip_prefix('/')?;
     let (segment, rest) = rest.split_once('/')?;
-    let (topo, threads) = parse_segment(segment)?;
+    let topo = Topo::from_segment(segment)?;
     let (nodes, rest) = rest.split_once(": ")?;
     let nodes: u64 = nodes.trim().parse().ok()?;
     let (duration, rest) = rest.split_once("/iter")?;
@@ -128,7 +99,6 @@ fn parse_bench_line(line: &str) -> Option<BenchEntry> {
     Some(BenchEntry {
         topo,
         nodes,
-        threads,
         per_iter_ns,
         elem_per_s,
     })
@@ -165,11 +135,9 @@ pub fn render(entries: &[BenchEntry]) -> String {
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         s.push_str(&format!(
-            "    {{\"topo\": \"{}\", \"nodes\": {}, \"threads\": {}, \"per_iter_ns\": {}, \
-             \"elem_per_s\": {}}}{comma}\n",
+            "    {{\"topo\": \"{}\", \"nodes\": {}, \"per_iter_ns\": {}, \"elem_per_s\": {}}}{comma}\n",
             e.topo.segment(),
             e.nodes,
-            e.threads,
             e.per_iter_ns,
             e.elem_per_s
         ));
@@ -180,9 +148,8 @@ pub fn render(entries: &[BenchEntry]) -> String {
 
 /// Parses a snapshot file written by [`render`] (entry-per-line; the
 /// fields are read by key, so field order is free). Entries with no
-/// `topo` field are chain points and entries with no `threads` field
-/// are serial points — snapshots from before the topology sweep or
-/// the sharded kernel existed stay comparable.
+/// `topo` field are chain points — snapshots from before the topology
+/// sweep existed stay comparable.
 #[must_use]
 pub fn parse_snapshot(text: &str) -> Vec<BenchEntry> {
     let mut entries = Vec::new();
@@ -201,11 +168,9 @@ pub fn parse_snapshot(text: &str) -> Vec<BenchEntry> {
         let topo = field_str(line, "topo")
             .and_then(Topo::from_segment)
             .unwrap_or(Topo::Chain);
-        let threads = field_u64(line, "threads").unwrap_or(1);
         entries.push(BenchEntry {
             topo,
             nodes,
-            threads,
             per_iter_ns,
             elem_per_s,
         });
@@ -256,16 +221,18 @@ pub fn regressions(snapshot: &[BenchEntry], measured: &[BenchEntry]) -> Vec<Stri
     for m in measured {
         match snapshot.iter().find(|s| s.key() == m.key()) {
             None => problems.push(format!(
-                "{}: not in {SNAPSHOT_FILE}; run `cargo xtask bench-snapshot` to record it",
-                m.id()
+                "{}/{}: not in {SNAPSHOT_FILE}; run `cargo xtask bench-snapshot` to record it",
+                m.topo.segment(),
+                m.nodes
             )),
             Some(s) => {
                 let limit = s.per_iter_ns as f64 * (1.0 + REGRESSION_TOLERANCE);
                 if m.per_iter_ns as f64 > limit {
                     problems.push(format!(
-                        "{}: {} ns/iter vs {} ns/iter snapshotted \
+                        "{}/{}: {} ns/iter vs {} ns/iter snapshotted \
                          (+{:.1} %, tolerance {:.0} %)",
-                        m.id(),
+                        m.topo.segment(),
+                        m.nodes,
                         m.per_iter_ns,
                         s.per_iter_ns,
                         (m.per_iter_ns as f64 / s.per_iter_ns as f64 - 1.0) * 100.0,
@@ -287,22 +254,18 @@ mod tests {
 slot_kernel/nodes/1000: 170.452µs/iter (5866754 elem/s)
 slot_kernel/nodes/10000: 2.949106ms/iter (3390858 elem/s)
 slot_kernel/nodes/1000000: 4.86318582s/iter (205627 elem/s)
-slot_kernel/nodes-t8/1000000: 1.21579645s/iter (822508 elem/s)
 slot_kernel/mesh/1000: 201.5µs/iter (4962779 elem/s)
 slot_kernel/tiered/1000: 180µs/iter (5555555 elem/s)
 slot_kernel/ring/9: 1ms/iter (9 elem/s)
-slot_kernel/nodes-tx/9: 1ms/iter (9 elem/s)
-slot_kernel/nodes-t0/9: 1ms/iter (9 elem/s)
 other_group/nodes/7: 1ms/iter (7 elem/s)
 ";
 
     #[test]
     fn parses_bench_output_across_duration_units() {
         let entries = parse_bench_output(SAMPLE);
-        assert_eq!(entries.len(), 6);
+        assert_eq!(entries.len(), 5);
         assert_eq!(entries[0].nodes, 1_000);
         assert_eq!(entries[0].topo, Topo::Chain);
-        assert_eq!(entries[0].threads, 1);
         assert_eq!(entries[0].per_iter_ns, 170_452);
         assert_eq!(entries[0].elem_per_s, 5_866_754);
         assert_eq!(entries[1].per_iter_ns, 2_949_106);
@@ -310,30 +273,18 @@ other_group/nodes/7: 1ms/iter (7 elem/s)
         assert_eq!(
             entries[3],
             BenchEntry {
-                topo: Topo::Chain,
-                nodes: 1_000_000,
-                threads: 8,
-                per_iter_ns: 1_215_796_450,
-                elem_per_s: 822_508,
-            },
-            "a -t8 id parses as an 8-thread point sorted after serial"
-        );
-        assert_eq!(
-            entries[4],
-            BenchEntry {
                 topo: Topo::Mesh,
                 nodes: 1_000,
-                threads: 1,
                 per_iter_ns: 201_500,
                 elem_per_s: 4_962_779,
             }
         );
-        assert_eq!(entries[5].topo, Topo::Tiered);
+        assert_eq!(entries[4].topo, Topo::Tiered);
         assert_eq!(parse_duration_ns("999ns"), Some(999));
     }
 
     #[test]
-    fn snapshots_without_topo_or_threads_parse_as_serial_chain_points() {
+    fn snapshots_without_topo_parse_as_chain_points() {
         let legacy = "\
 {
   \"entries\": [
@@ -344,7 +295,6 @@ other_group/nodes/7: 1ms/iter (7 elem/s)
         let entries = parse_snapshot(legacy);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].topo, Topo::Chain);
-        assert_eq!(entries[0].threads, 1);
         assert_eq!(entries[0].per_iter_ns, 170_452);
     }
 
@@ -361,16 +311,14 @@ other_group/nodes/7: 1ms/iter (7 elem/s)
         let measured = [BenchEntry {
             topo: Topo::Chain,
             nodes: 1_000,
-            threads: 1,
             per_iter_ns: 100_000,
             elem_per_s: 10_000_000,
         }];
         let merged = merge(&existing, &measured);
-        assert_eq!(merged.len(), 6);
+        assert_eq!(merged.len(), 5);
         assert_eq!(merged[0].per_iter_ns, 100_000, "measured point replaced");
         assert_eq!(merged[2].nodes, 1_000_000, "capped-out point kept");
-        assert_eq!(merged[3].threads, 8, "threaded point kept");
-        assert_eq!(merged[4].topo, Topo::Mesh, "mesh point kept");
+        assert_eq!(merged[3].topo, Topo::Mesh, "mesh point kept");
     }
 
     #[test]
@@ -378,14 +326,12 @@ other_group/nodes/7: 1ms/iter (7 elem/s)
         let snapshot = [BenchEntry {
             topo: Topo::Chain,
             nodes: 1_000,
-            threads: 1,
             per_iter_ns: 100_000,
             elem_per_s: 10_000_000,
         }];
         let within = [BenchEntry {
             topo: Topo::Chain,
             nodes: 1_000,
-            threads: 1,
             per_iter_ns: 114_000,
             elem_per_s: 8_771_929,
         }];
@@ -393,7 +339,6 @@ other_group/nodes/7: 1ms/iter (7 elem/s)
         let beyond = [BenchEntry {
             topo: Topo::Chain,
             nodes: 1_000,
-            threads: 1,
             per_iter_ns: 116_000,
             elem_per_s: 8_620_689,
         }];
@@ -401,52 +346,18 @@ other_group/nodes/7: 1ms/iter (7 elem/s)
         let unknown = [BenchEntry {
             topo: Topo::Chain,
             nodes: 5_000,
-            threads: 1,
             per_iter_ns: 1,
             elem_per_s: 1,
         }];
         assert_eq!(regressions(&snapshot, &unknown).len(), 1);
         // A mesh point at a snapshotted chain width is still unknown:
-        // the identity is (topo, nodes, threads), not nodes alone.
+        // the identity is (topo, nodes), not nodes alone.
         let cross_topo = [BenchEntry {
             topo: Topo::Mesh,
             nodes: 1_000,
-            threads: 1,
             per_iter_ns: 100_000,
             elem_per_s: 10_000_000,
         }];
         assert_eq!(regressions(&snapshot, &cross_topo).len(), 1);
-    }
-
-    #[test]
-    fn threaded_points_compare_like_for_like_only() {
-        // A slow threaded measurement at a snapshotted serial width is
-        // "not in snapshot", never a regression against the serial row
-        // — and vice versa.
-        let snapshot = [BenchEntry {
-            topo: Topo::Chain,
-            nodes: 1_000,
-            threads: 1,
-            per_iter_ns: 100_000,
-            elem_per_s: 10_000_000,
-        }];
-        let threaded = [BenchEntry {
-            topo: Topo::Chain,
-            nodes: 1_000,
-            threads: 8,
-            per_iter_ns: 500_000,
-            elem_per_s: 2_000_000,
-        }];
-        let problems = regressions(&snapshot, &threaded);
-        assert_eq!(problems.len(), 1);
-        assert!(
-            problems[0].starts_with("nodes-t8/1000: not in"),
-            "unexpected: {}",
-            problems[0]
-        );
-        let merged = merge(&snapshot, &threaded);
-        assert_eq!(merged.len(), 2);
-        assert!(regressions(&merged, &threaded).is_empty());
-        assert!(regressions(&merged, &snapshot).is_empty());
     }
 }

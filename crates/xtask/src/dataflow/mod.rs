@@ -17,18 +17,9 @@
 //!   path reachable from the work-stealing pool, including every
 //!   `Reduce::map`/`fold` impl the conservative call graph links in.
 //!
-//! * [`shard`] — **NF-SHARD-001/002** and **NF-FLOAT-001/002**: the
-//!   `parallel_equivalence` proptest proves parallel == serial *for
-//!   the shard counts it samples*; the static rules ban full-fleet
-//!   state access and direct bus dispatch downstream of any sweep
-//!   body, and float accumulation/comparison on the sharded drive
-//!   path — the invariants that make one FNV-1a golden pin every
-//!   thread count at once.
-//!
 //! Like [`crate::reach`], diagnostics omit line numbers from their
 //! messages (keeping the baseline stable as code drifts) and carry the
 //! witness call chain in [`crate::engine::Violation::chain`].
 
 pub(crate) mod hot_path;
 pub(crate) mod par;
-pub(crate) mod shard;

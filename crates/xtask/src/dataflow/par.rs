@@ -1,12 +1,11 @@
 //! NF-PAR-001/002: parallelism discipline for the work-stealing
-//! runner and the sharded slot kernel.
+//! runner.
 //!
-//! Entry points are every function in the runner and slot-kernel
-//! modules ([`rules::PAR_ENTRY_GLOBS`]) — `run_batch`, `worker_loop`,
-//! `drain`, the per-phase `Sweep` impls, `drive`, and their helpers.
-//! Because the call graph links `R::map(...)` and `reducer.fold(...)`
-//! to *every* `Reduce` impl in the workspace ("assume reachable"),
-//! the closure covers each reducer body too.
+//! Entry points are every function in the runner modules
+//! ([`rules::PAR_ENTRY_GLOB`]) — `run_batch`, `worker_loop`, `drain`
+//! and their helpers. Because the call graph links `R::map(...)` and
+//! `reducer.fold(...)` to *every* `Reduce` impl in the workspace
+//! ("assume reachable"), the closure covers each reducer body too.
 //! Two site families are scanned on the closure:
 //!
 //! * **NF-PAR-001** — interior mutability (`Mutex`, `RwLock`,
@@ -71,10 +70,7 @@ pub(crate) fn parallel_discipline(models: &[FileModel], graph: &CallGraph) -> Ve
         .enumerate()
         .filter_map(|(id, n)| {
             let rel = models.get(n.file).map(|m| m.rel.as_str())?;
-            rules::PAR_ENTRY_GLOBS
-                .iter()
-                .any(|g| glob_matches(g, rel))
-                .then_some(id)
+            glob_matches(rules::PAR_ENTRY_GLOB, rel).then_some(id)
         })
         .collect();
     let reach = graph.reach_forward(&entries);

@@ -542,8 +542,6 @@ fn analyze(files: &[(String, String)]) -> Analysis {
         &graph,
     ));
     raw.extend(dataflow::par::parallel_discipline(&graph_models, &graph));
-    raw.extend(dataflow::shard::shard_discipline(&graph_models, &graph));
-    raw.extend(dataflow::shard::float_discipline(&graph_models, &graph));
     stats.pass3_ms = elapsed_ms(t3);
     raw.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(

@@ -41,8 +41,6 @@ pub struct FnNode {
     pub self_ty: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Signature token range within the owning file's stream.
-    pub sig: Range<usize>,
     /// Body token range within the owning file's stream.
     pub body: Range<usize>,
 }
@@ -99,7 +97,6 @@ impl CallGraph {
                     name: f.name.clone(),
                     self_ty: f.self_ty.clone(),
                     line: f.line,
-                    sig: f.sig.clone(),
                     body: f.body.clone(),
                 });
             }

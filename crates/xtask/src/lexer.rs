@@ -50,28 +50,6 @@ impl Tok {
     pub fn is_ident(&self, name: &str) -> bool {
         self.kind == TokKind::Ident && self.text == name
     }
-
-    /// `true` if this is a floating-point literal: a number with a
-    /// fractional part (`0.6`), an exponent (`1e9` — hex/binary/octal
-    /// literals are excluded so `0x1E` stays integral, and the `e`
-    /// must introduce digits so `10usize` stays integral too), or an
-    /// explicit `f32`/`f64` suffix.
-    #[must_use]
-    pub fn is_float_literal(&self) -> bool {
-        if self.kind != TokKind::Number {
-            return false;
-        }
-        let t = self.text.as_str();
-        if t.starts_with("0x") || t.starts_with("0X") || t.starts_with("0b") || t.starts_with("0o")
-        {
-            return false;
-        }
-        let exponent = t
-            .chars()
-            .zip(t.chars().skip(1))
-            .any(|(c, n)| (c == 'e' || c == 'E') && (n.is_ascii_digit() || n == '+' || n == '-'));
-        t.contains('.') || exponent || t.ends_with("f32") || t.ends_with("f64")
-    }
 }
 
 struct Cursor {
@@ -135,10 +113,10 @@ pub fn tokenize(source: &str) -> Vec<Tok> {
             continue;
         }
         if c.is_ascii_digit() {
-            let text = lex_number(&mut cur);
+            lex_number(&mut cur);
             toks.push(Tok {
                 kind: TokKind::Number,
-                text,
+                text: String::new(),
                 line,
             });
             continue;
@@ -284,20 +262,15 @@ fn lex_ident_or_prefixed_literal(cur: &mut Cursor, line: u32, toks: &mut Vec<Tok
     }
 }
 
-/// Lexes a numeric literal, returning its text — the float rules need
-/// to tell `0.6`/`1e9`/`2f64` apart from integer literals.
-fn lex_number(cur: &mut Cursor) -> String {
-    let mut text = String::new();
+fn lex_number(cur: &mut Cursor) {
     while let Some(c) = cur.peek() {
         if c.is_alphanumeric() || c == '_' {
-            text.push(c);
             cur.bump();
         } else if c == '.' {
             // Consume the dot only for a fractional part — `0..n` must
             // leave the range dots alone.
             match cur.peek_at(1) {
                 Some(d) if d.is_ascii_digit() => {
-                    text.push(c);
                     cur.bump();
                 }
                 _ => break,
@@ -306,7 +279,6 @@ fn lex_number(cur: &mut Cursor) -> String {
             break;
         }
     }
-    text
 }
 
 /// Skips a (non-raw) string body; the opening quote is consumed.
@@ -439,21 +411,6 @@ mod tests {
         let toks = tokenize("0..10");
         let dots = toks.iter().filter(|t| t.is_punct('.')).count();
         assert_eq!(dots, 2);
-    }
-
-    #[test]
-    fn number_text_distinguishes_float_literals() {
-        let toks = tokenize("0.6 1e9 2f64 3f32 7 1_000 0x1E 0b10 0o17 10usize");
-        let floats: Vec<&str> = toks
-            .iter()
-            .filter(|t| t.is_float_literal())
-            .map(|t| t.text.as_str())
-            .collect();
-        assert_eq!(floats, ["0.6", "1e9", "2f64", "3f32"]);
-        assert!(toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Number)
-            .all(|t| !t.text.is_empty()));
     }
 
     #[test]

@@ -30,11 +30,6 @@ pub struct FnItem {
     pub has_self: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Token-index range of the signature: from the `fn` keyword up to
-    /// (exclusive) the body's `{` or the terminating `;`. The shard
-    /// rules scan it so a helper whose only mention of a banned type is
-    /// a parameter or return type is still caught.
-    pub sig: Range<usize>,
     /// Token-index range of the body, exclusive of the braces. Empty
     /// for bodyless trait method declarations.
     pub body: Range<usize>,
@@ -312,20 +307,14 @@ fn parse_fn(toks: &[Tok], i: usize, stack: &[Ctx], fns: &mut Vec<FnItem>) -> usi
     }
     // Return type / where clause, then the body or a `;`.
     let mut body = 0..0;
-    let sig_end;
     loop {
         match toks.get(j) {
-            None => {
-                sig_end = j;
-                break;
-            }
+            None => break,
             Some(t) if t.is_punct(';') => {
-                sig_end = j;
                 j += 1;
                 break;
             }
             Some(t) if t.is_punct('{') => {
-                sig_end = j;
                 body = j + 1..matching_brace(toks, j);
                 break;
             }
@@ -351,7 +340,6 @@ fn parse_fn(toks: &[Tok], i: usize, stack: &[Ctx], fns: &mut Vec<FnItem>) -> usi
         modules,
         has_self,
         line: fn_tok.line,
-        sig: i..sig_end,
         body,
     });
     resume
@@ -733,33 +721,6 @@ mod tests {
         let local = p.fns.iter().find(|f| f.name == "local").expect("local");
         assert_eq!(local.self_ty, None);
         assert!(p.structs.iter().any(|s| s.name == "Local"));
-    }
-
-    #[test]
-    fn signature_spans_cover_params_and_return_type() {
-        let toks = strip_test_spans(&tokenize(
-            "fn poke(cols: &mut NodeColumns, node: usize) -> u64 { cols.len() as u64 }\n\
-             trait T { fn decl(&self, x: Marker); }\n",
-        ));
-        let p = parse_items(&toks);
-        let poke = p.fns.iter().find(|f| f.name == "poke").expect("poke");
-        let sig_texts: Vec<&str> = toks[poke.sig.clone()]
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect();
-        assert!(sig_texts.contains(&"NodeColumns"), "{sig_texts:?}");
-        assert!(sig_texts.contains(&"u64"), "return type in sig");
-        assert!(
-            !toks[poke.body.clone()]
-                .iter()
-                .any(|t| t.is_ident("NodeColumns")),
-            "body span excludes the signature"
-        );
-        // Bodyless declarations still record their signature.
-        let decl = p.fns.iter().find(|f| f.name == "decl").expect("decl");
-        assert!(decl.body.is_empty());
-        assert!(toks[decl.sig.clone()].iter().any(|t| t.is_ident("Marker")));
     }
 
     #[test]

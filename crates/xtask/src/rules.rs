@@ -14,8 +14,6 @@
 //! | `NF-NV`       | 001                           | pass 3 (call graph)   |
 //! | `NF-ALLOC`    | 001 construction, 002 growth  | pass 3 (call graph)   |
 //! | `NF-PAR`      | 001 int. mut., 002 unordered  | pass 3 (call graph)   |
-//! | `NF-SHARD`    | 001 global state, 002 raw emit| pass 3 (call graph)   |
-//! | `NF-FLOAT`    | 001 f64 fold, 002 f64 compare | pass 3 (call graph)   |
 //!
 //! The per-file rules run in pass 1 on each file's token stream;
 //! pass 2 links the item models into the
@@ -183,26 +181,23 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "NF-PAR-001",
-        summary: "interior mutability reachable from a parallel entry point",
-        rationale: "the work-stealing pool and the sharded slot kernel both \
-                    guarantee parallel == serial results; Mutex/RwLock/\
-                    RefCell/Cell (or a static mut) reachable from a worker \
-                    body, a Reduce::map/fold impl, or a shard sweep is \
-                    shared state whose observation order depends on thread \
-                    scheduling — the one thing the golden tests cannot \
-                    sweep over every interleaving",
+        summary: "interior mutability reachable from the parallel runner",
+        rationale: "the work-stealing pool guarantees parallel == serial \
+                    results; Mutex/RwLock/RefCell/Cell (or a static mut) \
+                    reachable from a worker body or a Reduce::map/fold \
+                    impl is shared state whose observation order depends \
+                    on thread scheduling — the one thing the golden tests \
+                    cannot sweep over every interleaving",
         scope: Scope::Library,
     },
     Rule {
         id: "NF-PAR-002",
-        summary: "unordered iteration source reachable from a parallel entry point",
+        summary: "unordered iteration source reachable from the parallel runner",
         rationale: "HashMap/HashSet iteration order varies run to run; a \
-                    reducer or shard sweep folding over one produces \
-                    aggregates that differ between worker or shard counts \
-                    even when every per-job result is bit-identical, \
-                    silently breaking the parallel == serial guarantee the \
-                    runner's re-sequencing and the kernel's event splicing \
-                    exist to uphold",
+                    reducer folding over one produces aggregates that differ \
+                    between worker counts even when every per-job result is \
+                    bit-identical, silently breaking the parallel == serial \
+                    guarantee the runner's re-sequencing exists to uphold",
         scope: Scope::Library,
     },
     Rule {
@@ -213,50 +208,6 @@ pub const RULES: &[Rule] = &[
                     per-slot conservation (harvested = consumed + stored + \
                     leaked + lost)",
         scope: Scope::Glob("crates/core/src/sim/*.rs"),
-    },
-    Rule {
-        id: "NF-SHARD-001",
-        summary: "full-fleet state reachable from a shard sweep body",
-        rationale: "a shard sweep sees exactly one position-aligned slice of \
-                    the fleet (ColumnsShard / NodeView); naming NodeColumns, \
-                    NodeCold or SlotCtx from a sweep-reachable function is a \
-                    global-index access that silently aliases state another \
-                    thread owns, so parallel and serial runs diverge in ways \
-                    the goldens only catch after the fact",
-        scope: Scope::Library,
-    },
-    Rule {
-        id: "NF-SHARD-002",
-        summary: "event bus reached from a shard sweep, bypassing the splice",
-        rationale: "sweeps must emit through the per-shard ShardScratch event \
-                    buffer so drive() can splice buffers in ascending shard \
-                    order — the step that makes parallel emission order equal \
-                    serial order; a direct bus.emit/on_event call from a \
-                    sweep-reachable function publishes events in thread \
-                    completion order instead",
-        scope: Scope::Library,
-    },
-    Rule {
-        id: "NF-FLOAT-001",
-        summary: "floating-point accumulation on the sharded drive path",
-        rationale: "float addition is not associative, so an f64 +=/sum()/fold \
-                    whose grouping depends on shard count breaks bit-identity \
-                    between thread counts; cross-shard reductions (the \
-                    transmit carry pass, fold_total) must stay integer — that \
-                    invariant is what lets one FNV-1a golden pin every thread \
-                    count at once",
-        scope: Scope::Library,
-    },
-    Rule {
-        id: "NF-FLOAT-002",
-        summary: "floating-point comparison on the sharded drive path",
-        rationale: "a branch on an f64 comparison reachable from the shard \
-                    kernel turns any accumulated rounding difference into a \
-                    control-flow difference, amplifying a 1-ulp wobble into \
-                    divergent event streams; comparisons on node-local values \
-                    with shard-independent evaluation order are waived in the \
-                    baseline with per-site rationale (DESIGN.md §17)",
-        scope: Scope::Library,
     },
 ];
 
@@ -533,12 +484,10 @@ pub const ALLOC_GROWTH_METHODS: &[&str] = &[
 ];
 
 /// Files whose functions are the NF-PAR entry points: the
-/// work-stealing runner (worker closures, the coordinator and every
-/// `Reduce::map`/`fold` impl the pool dispatches into) AND the sharded
-/// slot kernel (the `fork_join` layer plus every phase sweep the shard
-/// driver forks — `sim/shard.rs` and the six phase files are all
-/// reachable from a forked task).
-pub const PAR_ENTRY_GLOBS: &[&str] = &["crates/core/src/runner/*.rs", "crates/core/src/sim/*.rs"];
+/// work-stealing runner. Worker closures, the coordinator and every
+/// `Reduce::map`/`fold` impl the pool dispatches into are reached from
+/// here through the call graph.
+pub const PAR_ENTRY_GLOB: &str = "crates/core/src/runner/*.rs";
 
 /// Interior-mutability types banned on runner-reachable paths by
 /// NF-PAR-001. Atomics are deliberately absent — the pool's own
@@ -568,75 +517,6 @@ pub const NV_CRATES: &[&str] = &["nvp", "rf"];
 /// commit discipline for NV writes (besides methods of the NV types
 /// themselves).
 pub const NV_COMMIT_MARKERS: &[&str] = &["commit", "checkpoint", "restore", "ledger"];
-
-/// Files that may contain shard sweeps: the six phase modules, the
-/// shard layer itself and the fork-join primitive. Only the
-/// *sweep-shaped* functions in them (named `sweep` or `*_sweep`) are
-/// NF-SHARD entry roots — `drive`, `splice` and `ColumnsShard::full`
-/// are sanctioned coordinators that legitimately name the full-fleet
-/// types, and no sweep can call back into them.
-pub const SHARD_ENTRY_FILES: &[&str] = &[
-    "crates/core/src/sim/harvest.rs",
-    "crates/core/src/sim/wake.rs",
-    "crates/core/src/sim/balance.rs",
-    "crates/core/src/sim/compute.rs",
-    "crates/core/src/sim/transmit.rs",
-    "crates/core/src/sim/slot_end.rs",
-    "crates/core/src/sim/shard.rs",
-    "crates/core/src/runner/fork.rs",
-];
-
-/// `true` for function names that mark a shard-sweep entry point.
-#[must_use]
-pub fn is_sweep_name(name: &str) -> bool {
-    name == "sweep" || name.ends_with("_sweep")
-}
-
-/// Full-fleet state types banned from sweep-reachable signatures and
-/// bodies by NF-SHARD-001. Sweeps receive a `ColumnsShard` split slice
-/// and go through `NodeView`; these names appearing downstream of a
-/// sweep mean a global-index escape hatch.
-pub const SHARD_GLOBAL_STATE_IDENTS: &[&str] = &[
-    "NodeColumns",
-    "NodeCold",
-    "SlotCtx",
-    "Simulator",
-    "SimParts",
-];
-
-/// Method names whose dotted call from a sweep-reachable function is a
-/// direct observer dispatch (NF-SHARD-002). Bare `emit(..)` is the
-/// sweep's own scratch-buffer closure parameter and stays sanctioned —
-/// it is not a method, so it never links to `EventBus::emit`.
-pub const SHARD_EMIT_METHODS: &[&str] = &["emit", "on_event"];
-
-/// Bus/observer types banned from sweep-reachable signatures and
-/// bodies by NF-SHARD-002.
-pub const SHARD_BUS_IDENTS: &[&str] = &["EventBus", "Observers"];
-
-/// Files whose *every* function roots the NF-FLOAT reachability scan,
-/// in addition to the sweep-shaped entries of [`SHARD_ENTRY_FILES`]:
-/// the shard driver (parallel arm + splice), the fork-join layer, and
-/// the transmit module that owns the cross-shard suffix-sum/carry
-/// pass.
-pub const FLOAT_ENTRY_FILES: &[&str] = &[
-    "crates/core/src/sim/shard.rs",
-    "crates/core/src/runner/fork.rs",
-    "crates/core/src/sim/transmit.rs",
-];
-
-/// Files whose reachable functions are *scanned* for NF-FLOAT sites:
-/// the kernel/coordinator layer, the only place a cross-shard
-/// reduction can physically live (leaf crates see one node at a time,
-/// so their float arithmetic is node-local by construction).
-pub const FLOAT_SITE_GLOBS: &[&str] = &["crates/core/src/sim/*.rs", "crates/core/src/runner/*.rs"];
-
-/// Iterator reduction methods flagged by NF-FLOAT-001 when the
-/// enclosing statement shows float evidence.
-pub const FLOAT_FOLD_METHODS: &[&str] = &["sum", "fold", "product"];
-
-/// Identifiers that count as float evidence within a statement.
-pub const FLOAT_TYPE_IDENTS: &[&str] = &["f64", "f32"];
 
 /// Crates excluded from the call graph: developer tooling that is
 /// never linked into a simulator binary, so reachability through it

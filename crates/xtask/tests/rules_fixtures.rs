@@ -6,7 +6,7 @@
 //! walk skips — and are linted here under synthetic workspace paths
 //! chosen to land in each rule's scope.
 
-use neofog_xtask::{lint_source, lint_sources, LintReport};
+use neofog_xtask::{lint_source, lint_sources};
 
 /// Lints `src` as if it lived at `path` and returns the rule ids hit.
 fn ids(path: &str, src: &str) -> Vec<&'static str> {
@@ -201,15 +201,11 @@ fn scratch_ctx_sources_stay_fully_covered() {
     // reachability-flavoured hit — including the indexing that the
     // sim-wide NF-PANIC-003 allowlist waives per-site: the slot loop
     // reaching it is exactly what the baseline must make auditable.
-    // Since the sharded slot kernel, sim/*.rs is also an NF-PAR entry
-    // root, so the HashMap line additionally picks up the
-    // unordered-iteration hit the runner sources always had.
     assert_eq!(
         hits,
         vec![
             "NF-DET-001",
             "NF-DET-002",
-            "NF-PAR-002",
             "NF-DET-003",
             "NF-PANIC-001",
             "NF-REACH-001",
@@ -573,148 +569,6 @@ fn par_rules_are_quiet_without_a_runner_entry_point() {
 }
 
 #[test]
-fn shard_rules_fire_through_a_depth_2_chain_from_a_sweep() {
-    // sweep (entry file, sweep-shaped name) -> helper taking the full
-    // fleet. The signature leak fires at both depths; the dotted
-    // `.emit(` fires once; the helper's finding carries the two-hop
-    // witness chain.
-    let report = lint_sources(&[
-        (
-            "crates/core/src/sim/harvest.rs",
-            include_str!("fixtures/shard_entry.rs"),
-        ),
-        (
-            "crates/core/src/sim/peek.rs",
-            include_str!("fixtures/shard_deep.rs"),
-        ),
-    ]);
-    let hits: Vec<(&str, &str, u32)> = report
-        .violations
-        .iter()
-        .map(|v| (v.rule, v.path.as_str(), v.line))
-        .collect();
-    assert_eq!(
-        hits,
-        vec![
-            ("NF-SHARD-001", "crates/core/src/sim/harvest.rs", 9),
-            ("NF-SHARD-002", "crates/core/src/sim/harvest.rs", 9),
-            ("NF-SHARD-002", "crates/core/src/sim/harvest.rs", 10),
-            ("NF-SHARD-001", "crates/core/src/sim/peek.rs", 6),
-        ],
-        "{:?}",
-        report.violations
-    );
-    let deep = report.violations.last().expect("depth-2 hit");
-    assert_eq!(
-        deep.chain,
-        vec!["core::gather_sweep", "core::poke_fixture"],
-        "witness chain on the helper's signature leak"
-    );
-    assert!(
-        deep.message.contains("full-fleet state `NodeColumns`"),
-        "{}",
-        deep.message
-    );
-    let emit = report
-        .violations
-        .iter()
-        .find(|v| v.line == 10)
-        .expect("dotted-emit hit");
-    assert!(
-        emit.message.contains("bypassing the shard event splice"),
-        "{}",
-        emit.message
-    );
-}
-
-#[test]
-fn shard_rules_are_quiet_for_view_local_sweeps_and_unreached_helpers() {
-    // The disciplined twin: a sweep over a NodeView emitting through
-    // its closure parameter.
-    let report = lint_sources(&[(
-        "crates/core/src/sim/harvest.rs",
-        include_str!("fixtures/shard_clean.rs"),
-    )]);
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
-    // The leaky helper with no sweep to reach it: coordinators hold
-    // the whole fleet legitimately, so on its own it is policy-free.
-    let report = lint_sources(&[(
-        "crates/core/src/sim/peek.rs",
-        include_str!("fixtures/shard_deep.rs"),
-    )]);
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
-}
-
-#[test]
-fn float_rules_fire_through_a_depth_2_chain_from_the_carry_pass() {
-    // transmit-module function (every fn there roots the scan) ->
-    // helper with an evidenced `+=`, a float branch and a `.fold()`.
-    // The plain `= 1.0` rebind inside the branch stays silent.
-    let report = lint_sources(&[
-        (
-            "crates/core/src/sim/transmit.rs",
-            include_str!("fixtures/float_entry.rs"),
-        ),
-        (
-            "crates/core/src/sim/carry.rs",
-            include_str!("fixtures/float_fold.rs"),
-        ),
-    ]);
-    let hits: Vec<(&str, &str, u32)> = report
-        .violations
-        .iter()
-        .map(|v| (v.rule, v.path.as_str(), v.line))
-        .collect();
-    assert_eq!(
-        hits,
-        vec![
-            ("NF-FLOAT-001", "crates/core/src/sim/carry.rs", 10),
-            ("NF-FLOAT-002", "crates/core/src/sim/carry.rs", 12),
-            ("NF-FLOAT-001", "crates/core/src/sim/carry.rs", 15),
-        ],
-        "{:?}",
-        report.violations
-    );
-    for v in &report.violations {
-        assert_eq!(
-            v.chain,
-            vec!["core::run", "core::blend_fixture"],
-            "witness chain on {}",
-            v.rule
-        );
-    }
-    let accum = report.violations.first().expect("accumulation hit");
-    assert!(
-        accum
-            .message
-            .contains("accumulates floating-point values (`+=`)"),
-        "{}",
-        accum.message
-    );
-    let cmp = report
-        .violations
-        .iter()
-        .find(|v| v.rule == "NF-FLOAT-002")
-        .expect("comparison hit");
-    assert!(
-        cmp.message.contains("floating-point comparison (`>`)"),
-        "{}",
-        cmp.message
-    );
-}
-
-#[test]
-fn float_rules_are_quiet_for_the_integer_carry_pass() {
-    // The invariant the rules protect, verbatim: u64 accumulation,
-    // integer branches, and a plain-`=` float derivation — all silent.
-    let report = lint_sources(&[(
-        "crates/core/src/sim/transmit.rs",
-        include_str!("fixtures/float_clean.rs"),
-    )]);
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
-}
-
-#[test]
 fn nv_rule_is_quiet_when_every_path_is_commit_disciplined() {
     // Identical mutator, but the only entry point carries a commit
     // marker — and the NV type's own method writes are sanctioned
@@ -730,47 +584,4 @@ fn nv_rule_is_quiet_when_every_path_is_commit_disciplined() {
         ),
     ]);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
-}
-
-/// `(rule, line)` of every NF-FLOAT finding in `report`.
-fn float_hits(report: &LintReport) -> Vec<(&str, u32)> {
-    report
-        .violations
-        .iter()
-        .filter(|v| v.rule.starts_with("NF-FLOAT"))
-        .map(|v| (v.rule, v.line))
-        .collect()
-}
-
-#[test]
-fn float_compare_rule_ignores_a_typed_vec_f64_binding() {
-    let report = lint_sources(&[(
-        "crates/core/src/sim/transmit.rs",
-        include_str!("fixtures/float_generic.rs"),
-    )]);
-    assert_eq!(float_hits(&report), [], "{:?}", report.violations);
-}
-
-#[test]
-fn float_compare_rule_flags_the_f64_ge_beside_a_typed_binding() {
-    let report = lint_sources(&[(
-        "crates/core/src/sim/transmit.rs",
-        include_str!("fixtures/float_generic_cmp.rs"),
-    )]);
-    assert_eq!(
-        float_hits(&report),
-        [("NF-FLOAT-002", 7)],
-        "{:?}",
-        report.violations
-    );
-    let cmp = report
-        .violations
-        .iter()
-        .find(|v| v.rule == "NF-FLOAT-002")
-        .expect("comparison hit");
-    assert!(
-        cmp.message.contains("floating-point comparison (`>=`)"),
-        "{}",
-        cmp.message
-    );
 }

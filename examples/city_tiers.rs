@@ -8,12 +8,10 @@
 //! preserves sensor batteries.
 //!
 //! ```sh
-//! cargo run --release --example city_tiers [-- --threads <n>]
+//! cargo run --release --example city_tiers [-- --seed <u64> --slots <u64>]
 //! ```
 //!
-//! `--threads` shards each simulation's slot kernel (`0` = all cores;
-//! the result table is identical at any width — the kernel is
-//! deterministic); `--seed` and `--slots` rescale the run.
+//! `--seed` and `--slots` rescale the run.
 
 use neofog::core::report::render_table;
 use neofog::net::TopologySpec;
@@ -55,7 +53,6 @@ fn main() {
         cfg.slots = args.slots.unwrap_or(300); // 300 x 12 s = 1 hour
         cfg.topology = topology;
         cfg.balancer = balancer;
-        cfg.threads = args.sim_threads();
         let result = Simulator::new(cfg).expect("valid config").run();
         let m = &result.metrics;
         rows.push(vec![
