@@ -13,10 +13,11 @@
 //! * `trace_dt = slot_len` coarsens the power traces so a 10⁶-node
 //!   chain's curves fit in memory (per-node curve storage scales with
 //!   `slots × slot_len / trace_dt`); the per-slot *work* is identical.
-//! * The balancer is `None`: the balance phase's task views are the
-//!   one remaining per-slot allocator (DESIGN.md §11) and would
-//!   dominate the profile with cross-node logic this bench does not
-//!   target.
+//! * The balancer is `None`: the balancers' cross-node logic, and the
+//!   per-call allocations Algorithm 1's DP and the tree balancer still
+//!   make (DESIGN.md §11), would dominate the profile with work this
+//!   bench does not target. The benchmark's `paper_repro` workload
+//!   (`perfbench/`) times the balance phase instead.
 //! * `NEOFOG_SLOT_KERNEL_MAX_NODES` caps the sweep (e.g. `=100000`
 //!   skips the 10⁶ entry) for memory-constrained runs.
 //!

@@ -102,8 +102,7 @@ impl DistributedBalancer {
                 break;
             }
         }
-        let surplus: Vec<super::FogTask> = chain.nodes[idx].tasks.split_off(keep);
-        if surplus.is_empty() {
+        if keep == node.tasks.len() {
             return;
         }
 
@@ -135,9 +134,9 @@ impl DistributedBalancer {
         let (rt, rcap) = side_state(right_idx);
         if lcap == 0 && rcap == 0 {
             // Nowhere to go; tasks stay queued.
-            chain.nodes[idx].tasks.extend(surplus);
             return;
         }
+        let surplus = chain.nodes[idx].tasks.split_off(keep);
 
         let a: Vec<u64> = surplus
             .iter()

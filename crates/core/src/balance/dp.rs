@@ -81,35 +81,36 @@ pub fn partition_tasks(a: &[u64], b: &[u64], max_time: u64) -> Assignment {
     let sum_a: u64 = a.iter().fold(0u64, |acc, &x| acc.saturating_add(x));
     let cap = sum_a.min(max_time) as usize;
 
-    // p[i][k] = least right time placing tasks 1..=k with left ≤ i.
-    // Row-major Vec<Vec> keeps the build step readable; sizes are
-    // bounded by MAXTIME which callers choose modestly.
+    // OPT(i, k) = least right time placing tasks 1..=k with left ≤ i,
+    // stored flat at p[k * width + i]: one allocation per call, and
+    // the build step reads column k − 1 and writes column k as dense
+    // runs. Column 0 is the base case OPT(i, 0) = 0; every later
+    // column is written in full before it is read. Sizes are bounded
+    // by MAXTIME, which callers choose modestly.
     let width = cap + 1;
-    let mut p = vec![vec![INF; n + 1]; width];
-    for row in &mut p {
-        row[0] = 0;
-    }
+    let at = |i: usize, k: usize| k * width + i;
+    let mut p = vec![0u64; width * (n + 1)];
     for k in 1..=n {
         let (ak, bk) = (a[k - 1], b[k - 1]);
         for i in 0..width {
             // Task k to the right.
-            let right = p[i][k - 1].saturating_add(bk);
+            let right = p[at(i, k - 1)].saturating_add(bk);
             // Task k to the left (consumes ak of the budget).
             let left = if (i as u64) >= ak {
-                p[i - ak as usize][k - 1]
+                p[at(i - ak as usize, k - 1)]
             } else {
                 INF
             };
-            p[i][k] = right.min(left);
+            p[at(i, k)] = right.min(left);
         }
     }
 
-    // Find the budget i minimizing the makespan max(i, p[i][n]).
+    // Find the budget i minimizing the makespan max(i, OPT(i, n)).
     // (The paper's "find the minimum time" step.)
     let mut best_i = 0usize;
     let mut best_makespan = INF;
-    for (i, row) in p.iter().enumerate() {
-        let m = (i as u64).max(row[n]);
+    for (i, &right) in p[at(0, n)..].iter().enumerate() {
+        let m = (i as u64).max(right);
         if m < best_makespan {
             best_makespan = m;
             best_i = i;
@@ -124,9 +125,9 @@ pub fn partition_tasks(a: &[u64], b: &[u64], max_time: u64) -> Assignment {
     let mut right_time = 0u64;
     for k in (1..=n).rev() {
         let (ak, bk) = (a[k - 1], b[k - 1]);
-        let via_right = p[i][k - 1].saturating_add(bk);
+        let via_right = p[at(i, k - 1)].saturating_add(bk);
         let via_left = if (i as u64) >= ak {
-            p[i - ak as usize][k - 1]
+            p[at(i - ak as usize, k - 1)]
         } else {
             INF
         };

@@ -98,7 +98,7 @@ impl NodeBalanceState {
 
 /// The chain snapshot a balancer operates on, in chain order
 /// (sink end first).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChainBalanceInput {
     /// Per-node state in chain order.
     pub nodes: Vec<NodeBalanceState>,

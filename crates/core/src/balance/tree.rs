@@ -18,6 +18,20 @@
 use super::{BalanceReport, ChainBalanceInput, FogTask, LoadBalancer};
 use neofog_types::{Energy, SimRng};
 
+/// Working vectors of [`TreeBalancer::redistribute`], allocated once
+/// per [`LoadBalancer::balance`] call and reused by every segment.
+/// Each segment drains `pool` and `leftovers`, so both are empty
+/// between segments.
+#[derive(Default)]
+struct SegmentScratch {
+    /// The segment's pooled tasks with their origin index.
+    pool: Vec<(usize, FogTask)>,
+    /// Affordable instructions left per segment node.
+    remaining: Vec<u64>,
+    /// Pooled tasks no node could take.
+    leftovers: Vec<(usize, FogTask)>,
+}
+
 /// Baseline hierarchical balancer.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeBalancer {
@@ -47,6 +61,7 @@ impl TreeBalancer {
         chain: &mut ChainBalanceInput,
         lo: usize,
         hi: usize,
+        scratch: &mut SegmentScratch,
         report: &mut BalanceReport,
     ) {
         if hi - lo <= 1 {
@@ -58,12 +73,12 @@ impl TreeBalancer {
             c.alive && c.spare_energy >= self.coordination_cost
         };
         if coordinator_ok {
-            self.redistribute(chain, lo, hi, report);
+            self.redistribute(chain, lo, hi, scratch, report);
         } else {
             report.interrupted_regions += 1;
         }
-        self.balance_segment(chain, lo, mid, report);
-        self.balance_segment(chain, mid, hi, report);
+        self.balance_segment(chain, lo, mid, scratch, report);
+        self.balance_segment(chain, mid, hi, scratch, report);
     }
 
     /// Proportional redistribution within `[lo, hi)`: pool every task,
@@ -74,10 +89,15 @@ impl TreeBalancer {
         chain: &mut ChainBalanceInput,
         lo: usize,
         hi: usize,
+        scratch: &mut SegmentScratch,
         report: &mut BalanceReport,
     ) {
+        let SegmentScratch {
+            pool,
+            remaining,
+            leftovers,
+        } = scratch;
         // Pool tasks with their origin index for hop accounting.
-        let mut pool: Vec<(usize, FogTask)> = Vec::new();
         for (idx, node) in chain.nodes[lo..hi].iter_mut().enumerate() {
             if node.alive {
                 for t in node.tasks.drain(..) {
@@ -88,19 +108,17 @@ impl TreeBalancer {
         // Largest tasks first gives the proportional fill a fighting
         // chance of packing.
         pool.sort_by_key(|(_, task)| std::cmp::Reverse(task.instructions));
-        let mut remaining: Vec<u64> = chain.nodes[lo..hi]
-            .iter()
-            .map(|n| {
-                if n.alive {
-                    n.affordable_instructions()
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let mut leftovers: Vec<(usize, FogTask)> = Vec::new();
-        for (origin, task) in pool {
-            // First node (by capacity left) that can take it.
+        remaining.clear();
+        remaining.extend(chain.nodes[lo..hi].iter().map(|n| {
+            if n.alive {
+                n.affordable_instructions()
+            } else {
+                0
+            }
+        }));
+        for (origin, task) in pool.drain(..) {
+            // The node with the most capacity left that can take it;
+            // ties go to the highest index.
             let target = (0..remaining.len())
                 .filter(|&i| remaining[i] >= task.instructions)
                 .max_by_key(|&i| remaining[i]);
@@ -119,7 +137,7 @@ impl TreeBalancer {
             }
         }
         // Unplaceable tasks return to their origins.
-        for (origin, task) in leftovers {
+        for (origin, task) in leftovers.drain(..) {
             chain.nodes[origin].tasks.push(task);
         }
     }
@@ -139,7 +157,8 @@ impl LoadBalancer for TreeBalancer {
     fn balance(&self, chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
         let mut report = BalanceReport::default();
         let n = chain.nodes.len();
-        self.balance_segment(chain, 0, n, &mut report);
+        let mut scratch = SegmentScratch::default();
+        self.balance_segment(chain, 0, n, &mut scratch, &mut report);
         report
     }
 }

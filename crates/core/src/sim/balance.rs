@@ -2,19 +2,40 @@
 //! representatives of each chain position.
 //!
 //! The configured intra-chain balancer sees one representative per
-//! logical position (the awake clone, if any) with its Spendthrift
-//! state, reassigns the pending fog tasks, and the transfer traffic is
-//! charged to the awake nodes — via the balance-credit column: the
-//! per-node share is marked on every awake node, then a second sweep
-//! spends marked credits in index order (the same order the old
-//! participant list walked, without allocating it).
+//! logical position (the awake clone, if any — NVD4Q multiplexing
+//! wakes at most one clone per position in a slot) with its
+//! Spendthrift state, reassigns the pending fog tasks, and the
+//! transfer traffic is charged to the awake nodes — via the
+//! balance-credit column: the per-node share is marked on every awake
+//! node, then a second sweep spends marked credits in index order (the
+//! same order the old participant list walked, without allocating it).
+//!
+//! The chain snapshot, the representative list and a copy of the
+//! representatives' packages are [`SlotCtx`] scratch, cleared and
+//! refilled every slot. A task's tag indexes the package copy. After
+//! the balancer returns, only the representatives' pending queues are
+//! rebuilt: sleeping clones were never offered to the balancer and
+//! keep theirs untouched.
 
 use super::columns::{self, NodeColumns};
-use super::ctx::{Package, SlotCtx};
+use super::ctx::SlotCtx;
 use super::event::{RadioPurpose, SimEvent};
 use super::{BalancerKind, Simulator};
-use crate::balance::{ChainBalanceInput, FogTask, NodeBalanceState, RouteContext};
+use crate::balance::{FogTask, NodeBalanceState, RouteContext};
 use neofog_types::{Energy, NodeId};
+
+/// The state of a position with no awake representative: dead to the
+/// balancer, with no tasks.
+fn vacant(tasks: Vec<FogTask>) -> NodeBalanceState {
+    NodeBalanceState {
+        node: NodeId::new(u32::MAX),
+        spare_energy: Energy::ZERO,
+        efficiency: 0.0,
+        throughput: 0.0,
+        tasks,
+        alive: false,
+    }
+}
 
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     if !sim.cfg.system.is_fog_capable() || matches!(sim.cfg.balancer, BalancerKind::None) {
@@ -22,65 +43,60 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     }
     let (parts, mut bus) = sim.split();
     let cols = &mut *parts.nodes;
+    let SlotCtx {
+        chain,
+        reps,
+        rep_packages,
+        offload,
+        ledgers,
+        ..
+    } = ctx;
     // One representative per position: the awake clone (if any).
-    let reps: Vec<Option<usize>> = parts
-        .positions
-        .iter()
-        .map(|phys| phys.iter().copied().find(|&i| cols.awake[i]))
-        .collect();
-    let mut chain_nodes = Vec::with_capacity(parts.positions.len());
-    let mut rep_map = Vec::with_capacity(parts.positions.len());
-    for (pos, rep) in reps.iter().enumerate() {
-        let (state, idx) = match rep {
-            Some(i) => {
-                let cold = &cols.cold[*i];
-                let level_income = cols.income_power[*i];
-                let radio = parts.cfg.node.radio;
-                let tx_reserve = radio.session_cost(parts.rf)
-                    + radio.packet_cost(parts.rf, cold.cfg.package.processed_bytes) * 2.0;
-                let spare = columns::budget_available(
-                    cols.direct_left[*i],
-                    cols.discharge_eff,
-                    &cols.cap[*i],
-                )
-                .saturating_sub(tx_reserve);
-                let tasks: Vec<FogTask> = cold
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .map(|(k, p)| FogTask::new(p.fog_remaining, (*i as u64) << 32 | k as u64))
-                    .collect();
-                (
-                    NodeBalanceState {
-                        node: NodeId::new(*i as u32),
-                        spare_energy: spare,
-                        efficiency: parts.spendthrift.efficiency(level_income),
-                        // Tier capability scales execution speed
-                        // (×1.0 exact on all-sensor chains).
-                        throughput: parts.spendthrift.throughput(level_income)
-                            * parts.caps[pos].compute_rate,
-                        tasks,
-                        alive: true,
-                    },
-                    Some(*i),
-                )
-            }
-            None => (
-                NodeBalanceState {
-                    node: NodeId::new(u32::MAX),
-                    spare_energy: Energy::ZERO,
-                    efficiency: 0.0,
-                    throughput: 0.0,
-                    tasks: Vec::new(),
-                    alive: false,
-                },
-                None,
-            ),
+    reps.clear();
+    reps.extend(
+        parts
+            .positions
+            .iter()
+            .map(|phys| phys.iter().copied().find(|&i| cols.awake[i])),
+    );
+    // Rewrite every position's state in full; only the task vectors'
+    // capacity carries over from the previous slot.
+    chain.nodes.resize_with(reps.len(), || vacant(Vec::new()));
+    rep_packages.clear();
+    let radio = parts.cfg.node.radio;
+    for (pos, (state, rep)) in chain.nodes.iter_mut().zip(reps.iter()).enumerate() {
+        let mut tasks = std::mem::take(&mut state.tasks);
+        tasks.clear();
+        let Some(i) = *rep else {
+            *state = vacant(tasks);
+            continue;
         };
-        chain_nodes.push(state);
-        rep_map.push(idx);
+        let cold = &cols.cold[i];
+        let level_income = cols.income_power[i];
+        let tx_reserve = radio.session_cost(parts.rf)
+            + radio.packet_cost(parts.rf, cold.cfg.package.processed_bytes) * 2.0;
+        let spare =
+            columns::budget_available(cols.direct_left[i], cols.discharge_eff, &cols.cap[i])
+                .saturating_sub(tx_reserve);
+        let first = rep_packages.len();
+        tasks.extend(
+            cold.pending
+                .iter()
+                .enumerate()
+                .map(|(k, p)| FogTask::new(p.fog_remaining, (first + k) as u64)),
+        );
+        rep_packages.extend_from_slice(&cold.pending);
+        *state = NodeBalanceState {
+            node: NodeId::new(i as u32),
+            spare_energy: spare,
+            efficiency: parts.spendthrift.efficiency(level_income),
+            // Tier capability scales execution speed (×1.0 exact on
+            // all-sensor chains).
+            throughput: parts.spendthrift.throughput(level_income) * parts.caps[pos].compute_rate,
+            tasks,
+            alive: true,
+        };
     }
-    let mut input = ChainBalanceInput { nodes: chain_nodes };
     let route = RouteContext {
         hops_to_sink: parts.route.hops_slice(),
         next_hop: parts.route.next_hop_slice(),
@@ -88,10 +104,10 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         caps: parts.caps,
         raw_bytes: parts.cfg.node.package.raw_bytes,
     };
-    ctx.offload.clear();
+    offload.clear();
     let report = parts
         .balancer
-        .balance_routed(&mut input, &route, parts.rng, &mut ctx.offload);
+        .balance_routed(chain, &route, parts.rng, offload);
     bus.emit(&SimEvent::TasksMigrated {
         interrupted: report.interrupted_regions,
         moved: report.tasks_moved,
@@ -100,8 +116,8 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // Offload decisions are per logical position; report them against
     // the position's awake representative (the node that held — and
     // paid to ship — the tasks).
-    for d in &ctx.offload {
-        let Some(node) = rep_map.get(d.position).copied().flatten() else {
+    for d in offload.iter() {
+        let Some(node) = reps.get(d.position).copied().flatten() else {
             continue;
         };
         bus.emit(&SimEvent::OffloadDecided {
@@ -113,31 +129,15 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     }
 
     // Apply the assignment: rebuild each representative's pending
-    // queue from the post-balance task tags (a tag names the
-    // original holder and its queue index).
-    let all_packages: Vec<Vec<Package>> = cols
-        .cold
-        .iter_mut()
-        .map(|c| std::mem::take(&mut c.pending))
-        .collect();
-    for (pos, state) in input.nodes.iter().enumerate() {
-        let Some(dest) = rep_map[pos] else { continue };
-        for task in &state.tasks {
-            let src = (task.tag >> 32) as usize;
-            let k = (task.tag & 0xFFFF_FFFF) as usize;
-            let pkg = all_packages[src][k];
-            cols.cold[dest].pending.push(pkg);
-        }
+    // queue, in position order, from its post-balance task tags, and
+    // mirror the new depth.
+    for (state, rep) in chain.nodes.iter().zip(reps.iter()) {
+        let Some(dest) = *rep else { continue };
+        let pending = &mut cols.cold[dest].pending;
+        pending.clear();
+        pending.extend(state.tasks.iter().map(|t| rep_packages[t.tag as usize]));
+        cols.fifo_depth[dest] = pending.len() as u32;
     }
-    // Sleeping clones keep their own pending packages (they were
-    // not offered to the balancer).
-    for (i, packages) in all_packages.into_iter().enumerate() {
-        if !cols.awake[i] {
-            cols.cold[i].pending.extend(packages);
-        }
-    }
-    // The queues were rebuilt wholesale; re-derive the depth mirror.
-    cols.sync_fifo_depths();
 
     // Charge transfer costs: each hop moves one raw package.
     if report.transfer_hops > 0 {
@@ -175,7 +175,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                 .iter_mut()
                 .zip(cap.iter_mut())
                 .zip(direct_left.iter_mut())
-                .zip(ctx.ledgers.iter_mut())
+                .zip(ledgers.iter_mut())
                 .enumerate()
             {
                 if *credit == Energy::ZERO {

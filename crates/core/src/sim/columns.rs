@@ -310,25 +310,22 @@ impl NodeColumns {
         self.balance_credit.fill(Energy::ZERO);
     }
 
-    /// Re-derives every FIFO depth from its queue — one linear sweep,
-    /// used after the balance phase rebuilds the pending queues
-    /// wholesale.
-    pub(crate) fn sync_fifo_depths(&mut self) {
-        for (depth, cold) in self.fifo_depth.iter_mut().zip(self.cold.iter()) {
-            *depth = cold.pending.len() as u32;
-        }
-    }
-
     /// A row lens over node `i` (disjoint `&mut`s; see [`NodeView`]).
     pub(crate) fn view(&mut self, i: usize) -> NodeView<'_> {
         let cold = &mut self.cold[i];
+        let fifo_depth = &mut self.fifo_depth[i];
+        debug_assert_eq!(
+            *fifo_depth as usize,
+            cold.pending.len(),
+            "node {i}: FIFO depth mirror out of sync"
+        );
         NodeView {
             cfg: &cold.cfg,
             cap: &mut self.cap[i],
             pending: &mut cold.pending,
             outbox: &mut cold.outbox,
             rng: &mut cold.rng,
-            fifo_depth: &mut self.fifo_depth[i],
+            fifo_depth,
             direct_left: &mut self.direct_left[i],
             position: self.position[i],
             hops_to_sink: self.hops_to_sink[i],

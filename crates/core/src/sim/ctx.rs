@@ -4,8 +4,9 @@
 //! it is [`reset`](SlotCtx::reset) at the top of every slot and
 //! threaded through the six phases in order. It owns the per-slot
 //! state that is *not* per-node-columnar (conservation ledgers,
-//! per-position forwarding duty, package scratch); the per-node hot
-//! state — budgets, wake flags, income powers — lives in the
+//! per-position forwarding duty, the balance phase's chain snapshot,
+//! package scratch); the per-node hot state — budgets, wake flags,
+//! income powers — lives in the
 //! [`NodeColumns`](super::columns::NodeColumns) arrays, reset by
 //! [`begin_slot`](super::columns::NodeColumns::begin_slot) alongside
 //! this context. Both clear and refill in place, so after the first
@@ -13,7 +14,7 @@
 
 use super::columns::NodeColumns;
 use super::ledger::EnergyLedger;
-use crate::balance::OffloadDecision;
+use crate::balance::{ChainBalanceInput, OffloadDecision};
 use crate::node::{NodeCapabilities, NodeConfig};
 use crate::sim::SimConfig;
 use neofog_energy::{EnergyCurve, Rtc, SuperCap};
@@ -94,6 +95,17 @@ pub(crate) struct SlotCtx {
     pub(crate) route_acc: Vec<u64>,
     /// Balance-phase scratch: offload decisions taken this slot.
     pub(crate) offload: Vec<OffloadDecision>,
+    /// Balance-phase scratch: the chain snapshot handed to the
+    /// balancer, one state per position. The balance phase rewrites
+    /// every field of every state each slot, keeping only the task
+    /// vectors' capacity.
+    pub(crate) chain: ChainBalanceInput,
+    /// Balance-phase scratch: each position's representative (its
+    /// awake clone), if any.
+    pub(crate) reps: Vec<Option<usize>>,
+    /// Balance-phase scratch: copies of the representatives' pending
+    /// packages in position order. Snapshot task tags index it.
+    pub(crate) rep_packages: Vec<Package>,
     /// General package scratch (transmit ordering, stale shedding);
     /// every user clears it before use.
     pub(crate) pkg_scratch: Vec<Package>,
@@ -104,7 +116,8 @@ impl SlotCtx {
     /// `n_phys` physical nodes and `n_pos` chain positions, so even the
     /// first slots only fill — never grow — them. The package scratch
     /// holds one node's queue at a time and grows to that size in the
-    /// first slots that use it.
+    /// first slots that use it. The balance scratch is sized by its
+    /// first use, so runs without a balancer never allocate it.
     pub(crate) fn warmed(n_phys: usize, n_pos: usize) -> Self {
         let mut ctx = SlotCtx::default();
         ctx.ledgers.reserve(n_phys);

@@ -11,8 +11,7 @@
 //! resolution is coarsened to the slot length (per-node curve storage
 //! scales with `slots × slot_len / trace_dt`, which is what makes a
 //! 10⁶-node chain's curves fit in memory) and the balancer is `None`
-//! (its per-slot task views are the one known slot-loop allocator,
-//! DESIGN.md §11).
+//! (the balancers still allocate per call, DESIGN.md §11).
 
 use neofog_alloc_probe::{allocation_count, CountingAlloc};
 use neofog_core::sim::{BalancerKind, SimConfig, SimEvent, SimObserver, Simulator};
