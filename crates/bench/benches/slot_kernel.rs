@@ -21,9 +21,11 @@
 //! * `NEOFOG_SLOT_KERNEL_MAX_NODES` caps the sweep (e.g. `=100000`
 //!   skips the 10⁶ entry) for memory-constrained runs.
 //!
-//! `cargo xtask bench-snapshot` runs this bench and records the
-//! results in `BENCH_slot_kernel.json`, the PR-over-PR perf
-//! trajectory CI diffs against.
+//! Nothing records or gates these numbers: the repo's performance
+//! record is `perfbench/`, whose `wide_chain` workload runs the 10⁵
+//! chain configuration end to end. This bench is for the sizes and
+//! shapes perfbench does not run — 10³, 10⁴ and 10⁶-node chains and
+//! the balancer-off mesh and tiered networks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use neofog_core::sim::{BalancerKind, SimConfig, Simulator};

@@ -18,6 +18,9 @@ use neofog_types::{Energy, SimRng};
 /// Time quantum of the DP tables, in microseconds (0.1 s).
 const TIME_UNIT_US: u64 = 100_000;
 
+/// Outward-propagation passes (each pass is one "call" round).
+const PASSES: usize = 3;
+
 /// The NEOFog distributed balancer.
 #[derive(Debug, Clone, Copy)]
 pub struct DistributedBalancer {
@@ -25,8 +28,6 @@ pub struct DistributedBalancer {
     max_time_units: u64,
     /// Energy a node must hold to participate in the exchange.
     exchange_cost: Energy,
-    /// Outward-propagation passes (each pass is one "call" round).
-    passes: usize,
 }
 
 impl DistributedBalancer {
@@ -37,27 +38,7 @@ impl DistributedBalancer {
         DistributedBalancer {
             max_time_units: call_interval_secs * 1_000_000 / TIME_UNIT_US,
             exchange_cost: Energy::from_microjoules(30.0),
-            passes: 3,
         }
-    }
-
-    /// Overrides the state-exchange cost.
-    #[must_use]
-    pub fn with_exchange_cost(mut self, cost: Energy) -> Self {
-        self.exchange_cost = cost;
-        self
-    }
-
-    /// Overrides the number of propagation passes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `passes` is zero.
-    #[must_use]
-    pub fn with_passes(mut self, passes: usize) -> Self {
-        assert!(passes > 0, "at least one pass required");
-        self.passes = passes;
-        self
     }
 
     /// Time (in DP units, rounded up) for `instructions` on a node
@@ -180,7 +161,7 @@ impl LoadBalancer for DistributedBalancer {
 
     fn balance(&self, chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
         let mut report = BalanceReport::default();
-        for _ in 0..self.passes {
+        for _ in 0..PASSES {
             let moved_before = report.tasks_moved;
             for idx in 0..chain.nodes.len() {
                 self.balance_node(chain, idx, &mut report);

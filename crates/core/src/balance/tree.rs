@@ -49,13 +49,6 @@ impl TreeBalancer {
         }
     }
 
-    /// Overrides the coordination cost.
-    #[must_use]
-    pub fn with_coordination_cost(mut self, cost: Energy) -> Self {
-        self.coordination_cost = cost;
-        self
-    }
-
     fn balance_segment(
         &self,
         chain: &mut ChainBalanceInput,

@@ -4,11 +4,14 @@
 //! Batch execution itself lives in [`crate::runner`]: every helper
 //! here builds its configuration list and hands it to the
 //! work-stealing pool, collecting full results through the
-//! order-preserving [`CollectAll`] reducer. Each helper has a `_with`
-//! variant taking an explicit [`PoolConfig`] and [`Progress`] observer
-//! (the figure binaries wire `--workers` and a stderr ticker through
-//! these); the plain variants default to every available core and no
-//! progress output.
+//! order-preserving [`CollectAll`] reducer. Every figure helper
+//! ([`figure9_with`], [`figure10_11_with`], [`multiplex_sweep_with`],
+//! [`ablation_with`], [`headline_with`]) takes a [`PoolConfig`] and a
+//! [`Progress`] observer: the figure binaries wire `--workers` and a
+//! stderr ticker through them, and a caller that wants neither passes
+//! `&PoolConfig::default()` (every available core) and
+//! `&mut NoProgress`. [`run_many`] is [`run_many_with`] with those two
+//! defaults.
 
 use crate::metrics::NetworkMetrics;
 use crate::node::SystemKind;
@@ -106,25 +109,6 @@ fn log_first_run(configs: &mut [SimConfig], events: Option<&str>) {
 /// # Errors
 ///
 /// Propagates [`run_many`] failures.
-pub fn figure10_11(
-    scenario: Scenario,
-    profiles: &[u64],
-    events: Option<&str>,
-) -> Result<Vec<ProfileRow>> {
-    figure10_11_with(
-        scenario,
-        profiles,
-        events,
-        &PoolConfig::default(),
-        &mut NoProgress,
-    )
-}
-
-/// [`figure10_11`] with explicit pool sizing and a progress observer.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
 pub fn figure10_11_with(
     scenario: Scenario,
     profiles: &[u64],
@@ -185,15 +169,6 @@ pub fn average_row(rows: &[ProfileRow]) -> Vec<SystemSummary> {
 /// # Errors
 ///
 /// Propagates [`run_many`] failures.
-pub fn figure9(seed: u64, events: Option<&str>) -> Result<Vec<(&'static str, NetworkMetrics)>> {
-    figure9_with(seed, events, &PoolConfig::default(), &mut NoProgress)
-}
-
-/// [`figure9`] with explicit pool sizing and a progress observer.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
 pub fn figure9_with(
     seed: u64,
     events: Option<&str>,
@@ -249,28 +224,6 @@ pub struct MultiplexPoint {
 /// for each factor plus the VP-without-balancing reference. When
 /// `events` is set, the first factor's run streams its JSONL event log
 /// there.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
-pub fn multiplex_sweep(
-    scenario: Scenario,
-    factors: &[u32],
-    seed: u64,
-    events: Option<&str>,
-) -> Result<(Vec<MultiplexPoint>, u64)> {
-    multiplex_sweep_with(
-        scenario,
-        factors,
-        seed,
-        events,
-        &PoolConfig::default(),
-        &mut NoProgress,
-    )
-}
-
-/// [`multiplex_sweep`] with explicit pool sizing and a progress
-/// observer.
 ///
 /// # Errors
 ///
@@ -343,21 +296,6 @@ pub struct AblationRow {
 /// # Errors
 ///
 /// Propagates [`run_many`] failures.
-pub fn ablation(scenario: Scenario, seed: u64, events: Option<&str>) -> Result<Vec<AblationRow>> {
-    ablation_with(
-        scenario,
-        seed,
-        events,
-        &PoolConfig::default(),
-        &mut NoProgress,
-    )
-}
-
-/// [`ablation`] with explicit pool sizing and a progress observer.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
 pub fn ablation_with(
     scenario: Scenario,
     seed: u64,
@@ -416,15 +354,6 @@ pub fn ablation_with(
 }
 
 /// Computes the headline gains in the low-power (rainy) scenario.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
-pub fn headline(seed: u64) -> Result<Headline> {
-    headline_with(seed, &PoolConfig::default(), &mut NoProgress)
-}
-
-/// [`headline`] with explicit pool sizing and a progress observer.
 ///
 /// # Errors
 ///

@@ -22,13 +22,8 @@
 //! Findings can be waived inline, via the allowlists in [`rules`], or
 //! — for pre-existing graph-rule findings — via the checked-in
 //! [`baseline`]; `--sarif` output for CI lives in [`sarif`].
-//!
-//! Beyond lint, `cargo xtask bench-snapshot` records the slot-kernel
-//! throughput curve in `BENCH_slot_kernel.json` and gates CI on
-//! per-iteration regressions ([`bench_snapshot`]).
 
 pub mod baseline;
-pub mod bench_snapshot;
 pub mod dataflow;
 pub mod engine;
 pub mod graph;
