@@ -55,6 +55,6 @@ pub use node::{NodeCapabilities, NodeConfig, PackageSpec, SystemKind, TierCapabi
 pub use nvd4q::{CloneSet, VirtualizationManager};
 pub use runner::{run_batch, CollectAll, NoProgress, PoolConfig, Progress, Reduce, StderrTicker};
 pub use sim::{
-    BalancerKind, EventLogObserver, LedgerObserver, MetricsObserver, Observers, RadioPurpose,
-    ShedReason, SimConfig, SimEvent, SimObserver, SimResult, Simulator, StoredTraceObserver,
+    BalancerKind, EventLogObserver, MetricsObserver, Observers, RadioPurpose, ShedReason,
+    SimConfig, SimEvent, SimObserver, SimResult, Simulator, StoredTraceObserver,
 };

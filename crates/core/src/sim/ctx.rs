@@ -112,15 +112,20 @@ pub(crate) struct SlotCtx {
 }
 
 impl SlotCtx {
-    /// A scratch context whose fleet-sized vectors are pre-sized for
-    /// `n_phys` physical nodes and `n_pos` chain positions, so even the
-    /// first slots only fill — never grow — them. The package scratch
-    /// holds one node's queue at a time and grows to that size in the
-    /// first slots that use it. The balance scratch is sized by its
-    /// first use, so runs without a balancer never allocate it.
-    pub(crate) fn warmed(n_phys: usize, n_pos: usize) -> Self {
+    /// A scratch context whose per-position vectors are pre-sized for
+    /// `n_pos` chain positions, so even the first slots only fill —
+    /// never grow — them. The package scratch holds one node's queue at
+    /// a time and grows to that size in the first slots that use it.
+    /// The balance scratch is sized by its first use, so runs without
+    /// a balancer never allocate it.
+    ///
+    /// The ledgers are sized by the first [`reset`](SlotCtx::reset).
+    /// Reserving them here, as the last allocation of
+    /// `Simulator::new`, raised perfbench `paper_repro`'s peak RSS from
+    /// 34.4 to 40.0 MB at seeds 1, 2, 3, 5 and 97 (glibc heap
+    /// placement; the block itself is 40 bytes per node).
+    pub(crate) fn warmed(n_pos: usize) -> Self {
         let mut ctx = SlotCtx::default();
-        ctx.ledgers.reserve(n_phys);
         ctx.forward_bytes.reserve(n_pos);
         ctx.route_acc.reserve(n_pos);
         ctx.offload.reserve(n_pos);

@@ -5,9 +5,9 @@
 //! by one [`SimEvent`] value emitted through the
 //! [`SimObserver`](crate::sim::SimObserver) bus. The phase functions
 //! emit events at exactly the point the change happens, so an event
-//! stream is a complete, ordered record of a run: the metrics, the
-//! debug energy ledger and the stored-energy trace are all pure
-//! folds over it.
+//! stream is a complete, ordered record of a run: the metrics and the
+//! stored-energy trace are pure folds over it. The energy ledger is
+//! not: it settles in place at slot end and emits nothing.
 
 use crate::balance::OffloadTarget;
 use neofog_types::Energy;
@@ -186,10 +186,13 @@ pub enum SimEvent {
         /// Stored level after the leak.
         stored: Energy,
     },
-    /// Debug builds only: a node's per-slot conservation ledger
-    /// settled. [`LedgerObserver`](crate::sim::LedgerObserver) asserts
-    /// the identity `harvested + stored_before = consumed + leaked +
-    /// lost + stored_after`.
+    /// A node's per-slot conservation ledger: `harvested +
+    /// stored_before = consumed + leaked + lost + stored_after`.
+    ///
+    /// Never emitted: the ledger settles in place at slot end and
+    /// asserts that identity itself. The variant stays only because
+    /// the benchmark's event classifier (`perfbench/src/trace.rs`)
+    /// still names it; delete it together with that match.
     LedgerSettled {
         /// Physical node index.
         node: usize,

@@ -1,9 +1,8 @@
 //! Per-node, per-slot energy conservation accounting.
 //!
 //! Every nanojoule that moves during a slot is booked into exactly one
-//! bucket of an [`EnergyLedger`]; at slot end the ledger settles into a
-//! [`SimEvent::LedgerSettled`] event and the [`LedgerObserver`] asserts
-//! the slot balances:
+//! bucket of an [`EnergyLedger`]; at slot end the ledger settles in
+//! place and [`EnergyLedger::settle`] asserts the slot balances:
 //!
 //! ```text
 //! harvested + stored_before = consumed + leaked + lost + stored_after
@@ -17,18 +16,15 @@
 //! * `lost` — conversion losses (direct channel, discharge regulator,
 //!   charge path) and energy a full capacitor rejects.
 //!
-//! In release builds the ledger is a zero-sized no-op and
-//! [`EnergyLedger::settlement`] returns `None`, so the accounting is a
-//! debug-build safety net rather than a runtime cost. The
-//! `NF-LEDGER-001` lint keeps every debit/credit site in the phase
-//! files routed through it.
+//! Every build compiles and checks the same ledger, and settling emits
+//! no event, so debug and release runs write identical event logs. A
+//! violation is a simulator bug: the run panics with the node, the
+//! slot and every bucket in nJ. The `NF-LEDGER-001` lint keeps every
+//! debit/credit site in the phase files routed through it.
 
-use super::event::SimEvent;
-use super::observe::SimObserver;
 use neofog_types::Energy;
 
-/// Debug-build slot ledger: real buckets.
-#[cfg(debug_assertions)]
+/// One node's bookings for one slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EnergyLedger {
     stored_before: Energy,
@@ -38,7 +34,6 @@ pub(crate) struct EnergyLedger {
     lost: Energy,
 }
 
-#[cfg(debug_assertions)]
 impl EnergyLedger {
     /// Opens a slot ledger against the capacitor's current level.
     pub(crate) fn open(stored: Energy) -> Self {
@@ -67,92 +62,32 @@ impl EnergyLedger {
         self.lost += e;
     }
 
-    /// Closes the slot: the ledger's buckets become a
-    /// [`SimEvent::LedgerSettled`] for the observers to audit.
-    pub(crate) fn settlement(&self, node: usize, stored_after: Energy) -> Option<SimEvent> {
-        Some(SimEvent::LedgerSettled {
-            node,
-            stored_before: self.stored_before,
-            harvested: self.harvested,
-            consumed: self.consumed,
-            leaked: self.leaked,
-            lost: self.lost,
-            stored_after,
-        })
-    }
-}
-
-/// Release builds: the ledger and all bookings compile away.
-#[cfg(not(debug_assertions))]
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EnergyLedger;
-
-#[cfg(not(debug_assertions))]
-impl EnergyLedger {
-    #[inline(always)]
-    pub(crate) fn open(_stored: Energy) -> Self {
-        EnergyLedger
-    }
-
-    #[inline(always)]
-    pub(crate) fn credit_harvest(&mut self, _e: Energy) {}
-
-    #[inline(always)]
-    pub(crate) fn debit_consumed(&mut self, _e: Energy) {}
-
-    #[inline(always)]
-    pub(crate) fn debit_leak(&mut self, _e: Energy) {}
-
-    #[inline(always)]
-    pub(crate) fn debit_loss(&mut self, _e: Energy) {}
-
-    #[inline(always)]
-    pub(crate) fn settlement(&self, _node: usize, _stored_after: Energy) -> Option<SimEvent> {
-        None
-    }
-}
-
-/// Asserts the per-slot conservation identity on every
-/// [`SimEvent::LedgerSettled`] event. Attached automatically in debug
-/// builds; in release builds the settlement events never fire.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LedgerObserver;
-
-impl SimObserver for LedgerObserver {
-    fn on_event(&mut self, event: &SimEvent) {
-        let SimEvent::LedgerSettled {
-            node,
-            stored_before,
-            harvested,
-            consumed,
-            leaked,
-            lost,
-            stored_after,
-        } = *event
-        else {
-            return;
-        };
-        let inflow = harvested.as_nanojoules() + stored_before.as_nanojoules();
-        let outflow = consumed.as_nanojoules()
-            + leaked.as_nanojoules()
-            + lost.as_nanojoules()
+    /// Closes `node`'s ledger for `slot` against the stored level
+    /// leaving it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when inflow and outflow differ by more than 1e-6 of the
+    /// larger (and at least 1e-6 nJ): some phase moved energy without
+    /// booking it.
+    pub(crate) fn settle(&self, node: usize, slot: u64, stored_after: Energy) {
+        let inflow = self.harvested.as_nanojoules() + self.stored_before.as_nanojoules();
+        let outflow = self.consumed.as_nanojoules()
+            + self.leaked.as_nanojoules()
+            + self.lost.as_nanojoules()
             + stored_after.as_nanojoules();
         let tol = 1e-6 * inflow.abs().max(outflow.abs()).max(1.0);
-        debug_assert!(
+        assert!(
             (inflow - outflow).abs() <= tol,
-            "node {} slot energy not conserved (nJ): harvested {} + before {} != consumed {} \
-             + leaked {} + lost {} + after {}",
-            node,
-            harvested.as_nanojoules(),
-            stored_before.as_nanojoules(),
-            consumed.as_nanojoules(),
-            leaked.as_nanojoules(),
-            lost.as_nanojoules(),
+            "node {node} slot {slot}: energy not conserved (nJ): harvested {} + before {} \
+             != consumed {} + leaked {} + lost {} + after {}",
+            self.harvested.as_nanojoules(),
+            self.stored_before.as_nanojoules(),
+            self.consumed.as_nanojoules(),
+            self.leaked.as_nanojoules(),
+            self.lost.as_nanojoules(),
             stored_after.as_nanojoules(),
         );
-        // Release builds: the assertion compiles away and the bindings
-        // would otherwise be unused.
-        let _ = (node, inflow, outflow, tol);
     }
 }
 
@@ -167,23 +102,13 @@ mod tests {
         ledger.debit_consumed(Energy::from_millijoules(3.0));
         ledger.debit_leak(Energy::from_millijoules(0.5));
         ledger.debit_loss(Energy::from_millijoules(1.5));
-        let mut obs = LedgerObserver;
-        let settled = ledger.settlement(0, Energy::from_millijoules(9.0));
-        // Debug builds settle into an event; release builds silently.
-        assert_eq!(settled.is_some(), cfg!(debug_assertions));
-        if let Some(ev) = settled {
-            obs.on_event(&ev);
-        }
+        ledger.settle(0, 0, Energy::from_millijoules(9.0));
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "not conserved")]
-    fn unbalanced_settlement_panics_in_debug() {
+    #[should_panic(expected = "node 3 slot 17: energy not conserved")]
+    fn unbalanced_settlement_panics_naming_node_and_slot() {
         let ledger = EnergyLedger::open(Energy::from_millijoules(10.0));
-        let mut obs = LedgerObserver;
-        if let Some(ev) = ledger.settlement(0, Energy::from_millijoules(42.0)) {
-            obs.on_event(&ev);
-        }
+        ledger.settle(3, 17, Energy::from_millijoules(42.0));
     }
 }

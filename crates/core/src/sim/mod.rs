@@ -46,11 +46,14 @@
 //! Phases never touch a counter directly: every observable state
 //! change is emitted as a [`SimEvent`] and folded by observers.
 //! [`MetricsObserver`] (the paper's counters), [`StoredTraceObserver`]
-//! (the Figure-9 series), [`LedgerObserver`] (debug conservation
-//! checks) and the JSONL [`EventLogObserver`] are all such folds;
-//! additional recorders attach via [`Simulator::attach_observer`].
-//! Observers are write-only taps — attaching one can never change a
-//! [`SimResult`].
+//! (the Figure-9 series) and the JSONL [`EventLogObserver`] are all
+//! such folds; additional recorders attach via
+//! [`Simulator::attach_observer`]. Observers are write-only taps —
+//! attaching one can never change a [`SimResult`].
+//!
+//! Energy conservation is not an observer: each node's ledger settles
+//! in place at slot end and asserts the slot balanced, in every build
+//! profile (see the `ledger` module).
 
 mod balance;
 mod columns;
@@ -65,7 +68,6 @@ mod transmit;
 mod wake;
 
 pub use event::{RadioPurpose, ShedReason, SimEvent};
-pub use ledger::LedgerObserver;
 pub use observe::{
     render_jsonl, EventLogObserver, MetricsObserver, Observers, SimObserver, StoredTraceObserver,
 };
@@ -282,8 +284,8 @@ pub struct Simulator {
     metrics: MetricsObserver,
     /// The Figure-9 stored-energy fold, when `trace_stored` is set.
     trace: Option<StoredTraceObserver>,
-    /// Pluggable observers: debug ledger checks, the JSONL event log
-    /// and anything attached via [`Simulator::attach_observer`].
+    /// Pluggable observers: the JSONL event log and anything attached
+    /// via [`Simulator::attach_observer`].
     observers: Observers,
     /// Reusable per-slot scratch: cleared and refilled every slot so
     /// the steady-state loop allocates nothing after warm-up.
@@ -373,8 +375,6 @@ impl Simulator {
         let metrics = MetricsObserver::new(physical);
         let trace = cfg.trace_stored.then(|| StoredTraceObserver::new(physical));
         let mut observers = Observers::default();
-        #[cfg(debug_assertions)]
-        observers.push(Box::new(LedgerObserver));
         if let Some(path) = &cfg.events_path {
             observers.push(Box::new(EventLogObserver::create(path)?));
         }
@@ -391,7 +391,7 @@ impl Simulator {
             metrics,
             trace,
             observers,
-            scratch: SlotCtx::warmed(physical, cfg.positions),
+            scratch: SlotCtx::warmed(cfg.positions),
             next_slot: 0,
             cfg,
         })

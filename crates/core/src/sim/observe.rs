@@ -6,8 +6,6 @@
 //!
 //! * [`MetricsObserver`] — the paper's counters ([`NetworkMetrics`]).
 //! * [`StoredTraceObserver`] — the Figure-9 stored-energy series.
-//! * [`LedgerObserver`](crate::sim::LedgerObserver) — the debug-build
-//!   conservation checker.
 //! * [`EventLogObserver`] — a deterministic JSONL event log for replay
 //!   and slot-by-slot diffing.
 //!
@@ -228,10 +226,6 @@ impl SimObserver for StoredTraceObserver {
 /// Rust's shortest-roundtrip `f64` formatting, and no wall-clock data
 /// is ever written — so the same `SimConfig` and seed produce a
 /// byte-identical log, and two logs can be diffed slot-by-slot.
-///
-/// Note that [`SimEvent::LedgerSettled`] lines appear in debug builds
-/// only (the conservation ledger compiles away in release), so logs
-/// should be diffed across runs of the same build profile.
 pub struct EventLogObserver {
     out: Box<dyn Write>,
     slot: u64,

@@ -3,8 +3,9 @@
 //!
 //! Unspent direct income charges the capacitor (overflow is rejected),
 //! capacitors self-discharge, volatile nodes lose their queues at
-//! power-down, and each node's conservation ledger settles into a
-//! [`SimEvent::LedgerSettled`] event for the observers to audit.
+//! power-down, and each node's conservation ledger settles in place:
+//! [`EnergyLedger::settle`](super::ledger::EnergyLedger::settle)
+//! asserts the slot balanced and emits nothing.
 //!
 //! The sweep zips the capacitor, direct-pool and FIFO-depth columns
 //! against the cold rows; the metered capacitor accessors
@@ -22,6 +23,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let (parts, mut bus) = sim.split();
     let system = parts.cfg.system;
     let slot_len = parts.cfg.slot_len;
+    let slot = ctx.slot;
     let retains_state = system.retains_state();
     let direct_eff = parts.nodes.direct_eff;
     let NodeColumns {
@@ -70,8 +72,6 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             leaked,
             stored: cap.stored(),
         });
-        if let Some(settled) = ledger.settlement(i, cap.stored()) {
-            bus.emit(&settled);
-        }
+        ledger.settle(i, slot, cap.stored());
     }
 }

@@ -13,9 +13,9 @@
 //! large tree-balancer pools). They were captured before the balance
 //! phase began reusing its chain snapshot and queues across slots.
 //!
-//! `ledger_settled` events exist only in debug builds (the release
-//! ledger is a no-op), so the hash is taken over the log with those
-//! lines stripped — the pins then hold in both profiles.
+//! The hash is taken over the log exactly as written. Debug and release
+//! builds run the same ledger and emit the same events, so the pins
+//! hold in both profiles.
 
 use neofog_core::sim::{BalancerKind, SimConfig, Simulator};
 use neofog_core::SystemKind;
@@ -42,9 +42,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The event log of one run of `cfg`, with the debug-only
-/// `ledger_settled` lines stripped so debug and release hash
-/// identically. `tag` keeps concurrently written log files apart.
+/// The FNV-1a hash and line count of the event log of one run of
+/// `cfg`. `tag` keeps concurrently written log files apart.
 fn event_log_fingerprint(mut cfg: SimConfig, tag: &str) -> (u64, usize) {
     let dir = std::env::temp_dir();
     let path = dir.join(format!(
@@ -53,23 +52,14 @@ fn event_log_fingerprint(mut cfg: SimConfig, tag: &str) -> (u64, usize) {
     ));
     cfg.events_path = Some(path.display().to_string());
     let _ = Simulator::new(cfg).expect("valid config").run();
-    let text = std::fs::read_to_string(&path).expect("event log written");
+    let log = std::fs::read(&path).expect("event log written");
     std::fs::remove_file(&path).ok();
-    let mut filtered = String::with_capacity(text.len());
-    let mut lines = 0usize;
-    for line in text.lines() {
-        if line.contains("\"kind\":\"ledger_settled\"") {
-            continue;
-        }
-        filtered.push_str(line);
-        filtered.push('\n');
-        lines += 1;
-    }
-    (fnv1a(filtered.as_bytes()), lines)
+    let lines = log.iter().filter(|&&b| b == b'\n').count();
+    (fnv1a(&log), lines)
 }
 
-/// `(system, fnv1a-64 of the filtered log, filtered line count)`,
-/// captured from the pre-refactor array-of-structs pipeline.
+/// `(system, fnv1a-64 of the log, line count)`, captured from the
+/// pre-refactor array-of-structs pipeline.
 const LOG_PINS: &[(SystemKind, u64, usize)] = &[
     (SystemKind::NosVp, 0xf080_1bd0_c038_2f50, 10604),
     (SystemKind::NosNvp, 0x861d_7c4d_11db_1150, 13676),

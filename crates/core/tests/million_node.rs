@@ -12,6 +12,10 @@
 //! scales with `slots × slot_len / trace_dt`, which is what makes a
 //! 10⁶-node chain's curves fit in memory) and the balancer is `None`
 //! (the balancers still allocate per call, DESIGN.md §11).
+//!
+//! The allocation counter is process-global, so the two tests hold
+//! [`SERIAL`] for their whole run: the 10⁶-node build must not allocate
+//! inside the 10⁵-node test's measured window at any `--test-threads`.
 
 use neofog_alloc_probe::{allocation_count, CountingAlloc};
 use neofog_core::sim::{BalancerKind, SimConfig, SimEvent, SimObserver, Simulator};
@@ -19,12 +23,22 @@ use neofog_core::SystemKind;
 use neofog_energy::Scenario;
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Slot window the steady-state driver cycles through.
 const WINDOW_SLOTS: u64 = 32;
+
+/// Held by each test for its whole run (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Waits for the other test to finish. The mutex guards no data, so a
+/// panic in the other test leaves nothing to repair.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn chain_cfg(nodes: usize) -> SimConfig {
     let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, 1);
@@ -57,6 +71,7 @@ impl SimObserver for Progress {
 #[test]
 #[ignore = "fleet-scale: run in release mode via the nightly job"]
 fn hundred_thousand_node_chain_is_allocation_free_in_steady_state() {
+    let _serial = serial();
     let mut sim = Simulator::new(chain_cfg(100_000)).expect("valid config");
     sim.advance(2 * WINDOW_SLOTS);
     let at_warmup = allocation_count();
@@ -73,6 +88,7 @@ fn hundred_thousand_node_chain_is_allocation_free_in_steady_state() {
 #[test]
 #[ignore = "fleet-scale: run in release mode via the nightly job"]
 fn million_node_chain_advances_hundreds_of_slots() {
+    let _serial = serial();
     let woke = Rc::new(Cell::new(0));
     let delivered = Rc::new(Cell::new(0));
     let mut sim = Simulator::new(chain_cfg(1_000_000)).expect("valid config");

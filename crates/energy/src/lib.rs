@@ -3,8 +3,6 @@
 //! Models everything between the ambient environment and the node's
 //! power rail (paper §2.1, Figure 2 and Figure 5):
 //!
-//! * [`harvester`] — the four ambient sources the paper lists (solar,
-//!   RF, piezoelectric, thermal) with their front-conversion losses.
 //! * [`trace`] — piecewise-constant [`PowerTrace`]s plus the synthetic
 //!   trace generators used by the evaluation: *independent* traces
 //!   (forest scenario, random segment concatenation, §5.2.1),
@@ -38,14 +36,12 @@
 
 pub mod curve;
 pub mod frontend;
-pub mod harvester;
 pub mod rtc;
 pub mod supercap;
 pub mod trace;
 
 pub use curve::EnergyCurve;
 pub use frontend::{Delivery, FrontEnd};
-pub use harvester::{Harvester, HarvesterKind};
 pub use rtc::Rtc;
 pub use supercap::{CapStats, ChargeReceipt, SuperCap};
 pub use trace::{ChainPlan, PowerTrace, Scenario, TraceGenerator};

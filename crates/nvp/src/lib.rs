@@ -24,14 +24,12 @@
 //!   (Figure 2(b)) that enables the buffered
 //!   sensing→buffering→computing→compression→transmission strategy.
 
-pub mod checkpoint;
 pub mod exec;
 pub mod nvbuffer;
 pub mod processor;
 pub mod spec;
 pub mod spendthrift;
 
-pub use checkpoint::{simulate_policy, CheckpointPolicy, CheckpointReport};
 pub use exec::{ExecReport, IntermittentEngine, PowerInterval};
 pub use nvbuffer::NvBuffer;
 pub use processor::{Processor, ProcessorKind};

@@ -204,7 +204,7 @@ pub const RULES: &[Rule] = &[
         id: "NF-LEDGER-001",
         summary: "energy debit/credit bypasses the conservation ledger",
         rationale: "every charge/discharge/leak/spend in the slot loop must be \
-                    booked in the EnergyLedger so debug builds can assert \
+                    booked in the EnergyLedger so every build can assert \
                     per-slot conservation (harvested = consumed + stored + \
                     leaked + lost)",
         scope: Scope::Glob("crates/core/src/sim/*.rs"),

@@ -10,10 +10,10 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`types`] | `neofog-types` | units, ids, errors, deterministic RNG |
-//! | [`energy`] | `neofog-energy` | harvesters, power traces, supercaps, front-ends, RTC |
+//! | [`energy`] | `neofog-energy` | power traces, supercaps, front-ends, RTC |
 //! | [`nvp`] | `neofog-nvp` | VP/NVP models, intermittent execution, Spendthrift, NV buffer |
 //! | [`rf`] | `neofog-rf` | software RF vs NVRF, packets, loss process |
-//! | [`sensors`] | `neofog-sensors` | sensor specs, ADC, signal synthesis |
+//! | [`sensors`] | `neofog-sensors` | sensor specs, signal synthesis |
 //! | [`workloads`] | `neofog-workloads` | Table-2 app models + real kernels (FFT, NCC, compression, strength models) |
 //! | [`net`] | `neofog-net` | RTC slots, topologies compiled into route plans |
 //! | [`core`] | `neofog-core` | NOS/FIOS nodes, load balancers (Algorithm 1), NVD4Q (Algorithm 2), system simulator, experiments |
