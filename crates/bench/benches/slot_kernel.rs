@@ -1,18 +1,19 @@
 //! The slot kernel: steady-state slots/sec over chain width.
 //!
-//! One simulator instance is built per node count (trace synthesis and
-//! curve prefix-summing paid once), warmed past the queue-growth
-//! window, then timed per `advance(1)` — so the number reported is the
-//! cost of one pass of the six-phase pipeline over every node, the
-//! loop the struct-of-arrays `NodeColumns` layout exists to make a
-//! tight linear sweep. `Throughput::Elements(nodes)` turns the
-//! per-iteration time into node-slots/sec.
+//! One simulator instance is built per node count (trace synthesis
+//! and its fold into per-slot incomes paid once), warmed past the
+//! queue-growth window, then timed per `advance(1)` — so the number
+//! reported is the cost of one pass of the six-phase pipeline over
+//! every node, the loop the struct-of-arrays `NodeColumns` layout
+//! exists to make a tight linear sweep. `Throughput::Elements(nodes)`
+//! turns the per-iteration time into node-slots/sec.
 //!
 //! Configuration notes:
 //!
 //! * `trace_dt = slot_len` coarsens the power traces so a 10⁶-node
-//!   chain's curves fit in memory (per-node curve storage scales with
-//!   `slots × slot_len / trace_dt`); the per-slot *work* is identical.
+//!   chain builds with fewer random draws (each node stores only its
+//!   `slots` per-slot incomes, whatever `trace_dt` is); the per-slot
+//!   *work* is identical.
 //! * The balancer is `None`: the balancers' cross-node logic, and the
 //!   per-call allocations Algorithm 1's DP and the tree balancer still
 //!   make (DESIGN.md §11), would dominate the profile with work this
@@ -35,7 +36,7 @@ use neofog_net::TopologySpec;
 
 /// Slot window the steady-state driver cycles through.
 const WINDOW_SLOTS: u64 = 32;
-/// Slots advanced before timing starts (queue growth, curve touch).
+/// Slots advanced before timing starts (queue growth, income table touch).
 const WARMUP_SLOTS: u64 = 8;
 
 fn chain_cfg(nodes: usize) -> SimConfig {

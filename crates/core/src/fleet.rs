@@ -22,12 +22,10 @@
 //!
 //! Each in-flight chain is one columnar [`Simulator`]: its hot node
 //! state lives in the struct-of-arrays kernel (DESIGN.md §14), so a
-//! worker's footprint is a handful of dense vectors plus the per-node
-//! energy curves. For *wide* chains (many positions per chain, rather
-//! than many chains), coarsen [`SimConfig::trace_dt`] toward the slot
-//! length — curve storage scales with `slots × slot_len / trace_dt`
-//! per node, and the default fine resolution is what dominates memory
-//! long before the columns do.
+//! worker's footprint is a handful of dense vectors plus one income
+//! value per node per slot. The power traces are folded into those
+//! incomes at construction and never stored, so [`SimConfig::trace_dt`]
+//! sets set-up time (one random draw per sample), not memory.
 //!
 //! [`Simulator`]: crate::sim::Simulator
 

@@ -4,19 +4,23 @@
 //! The phase functions are linear passes over every physical node, and
 //! at fleet scale (10⁵–10⁶ nodes per chain) the array-of-structs
 //! [`NodeSim`] layout made each pass a pointer-chase: harvesting
-//! touched a capacitor, an RTC, a curve and two queues per node even
-//! though it only *needed* the capacitor level and the curve. This
-//! module splits that state by temperature:
+//! touched a capacitor, an RTC, an energy curve and two queues per
+//! node even though it only *needed* the capacitor level and the
+//! slot's income. This module splits that state by temperature:
 //!
 //! * **Hot columns** — one `Vec` per field the sweeps read every slot:
 //!   capacitor, RTC, schedule, chain position, NV FIFO depth, the
 //!   per-slot direct pool, wake flags, income powers and balance
 //!   credits. A phase that needs three fields walks three dense
 //!   arrays; everything else stays out of cache.
-//! * **Cold rows** — [`NodeCold`]: the node config, the prefix-summed
-//!   energy curve, the package queues and the RNG stream. These are
-//!   touched only when a node actually wakes, computes or transmits,
-//!   so they stay row-oriented and are reached through [`NodeView`].
+//! * **The income table** — every node's harvest income for every
+//!   slot of the window, in one flat node-major `Vec`, folded from the
+//!   node's power trace at construction. The harvest sweep strides
+//!   through it, one value per node per slot.
+//! * **Cold rows** — [`NodeCold`]: the node config, the package queues
+//!   and the RNG stream. These are touched only when a node actually
+//!   wakes, computes or transmits, so they stay row-oriented and are
+//!   reached through [`NodeView`].
 //!
 //! The per-slot energy budget arithmetic that used to live on
 //! `SlotBudget` is preserved *verbatim* as the free functions
@@ -37,7 +41,7 @@
 use super::ctx::{NodeSim, Package};
 use super::ledger::EnergyLedger;
 use crate::node::{NodeCapabilities, NodeConfig};
-use neofog_energy::{EnergyCurve, FrontEnd, Rtc, SuperCap};
+use neofog_energy::{FrontEnd, Rtc, SuperCap};
 use neofog_net::slots::SlotSchedule;
 use neofog_types::{Energy, Power, SimRng};
 
@@ -49,8 +53,6 @@ pub(crate) struct NodeCold {
     /// Tier-derived radio/compute capability row (varies by tier, not
     /// per node, so it is cold: read only in compute and balance).
     pub(crate) caps: NodeCapabilities,
-    /// Prefix-summed income curve (O(1) per-slot integration).
-    pub(crate) curve: EnergyCurve,
     /// Packages awaiting fog processing (fog systems only).
     pub(crate) pending: Vec<Package>,
     /// Packages ready for transmission.
@@ -83,6 +85,10 @@ pub(crate) struct NodeColumns {
     /// NV FIFO backlog (`cold[i].pending.len()`), mirrored here so
     /// admission checks and empty-queue skips never touch a cold row.
     pub(crate) fifo_depth: Vec<u32>,
+    /// Ambient harvest income per node and slot, node-major: node `i`'s
+    /// income over slot `s` is `income[i * window + s]`, where `window`
+    /// is the slot window `Simulator::advance` cycles through.
+    pub(crate) income: Vec<Energy>,
     // --- per-slot hot columns (reset by `begin_slot`) ---
     /// Unspent direct-channel pool (the `SlotBudget::direct_left` of
     /// the row pipeline; the harvest phase fills it).
@@ -215,10 +221,11 @@ pub(crate) fn leftover_income(direct_left: &mut Energy, direct_eff: f64) -> Ener
 }
 
 impl NodeColumns {
-    /// Splits row-oriented node state into columns. `fe` is the fleet's
-    /// shared front-end (every node has the same `NodeConfig`), which
-    /// fixes the per-run budget efficiencies.
-    pub(crate) fn scatter(rows: Vec<NodeSim>, fe: FrontEnd) -> NodeColumns {
+    /// Splits row-oriented node state into columns beside the node-major
+    /// `income` table. `fe` is the fleet's shared front-end (every node
+    /// has the same `NodeConfig`), which fixes the per-run budget
+    /// efficiencies.
+    pub(crate) fn scatter(rows: Vec<NodeSim>, income: Vec<Energy>, fe: FrontEnd) -> NodeColumns {
         let n = rows.len();
         let mut cols = NodeColumns {
             cap: Vec::with_capacity(n),
@@ -227,6 +234,7 @@ impl NodeColumns {
             position: Vec::with_capacity(n),
             hops_to_sink: Vec::with_capacity(n),
             fifo_depth: Vec::with_capacity(n),
+            income,
             direct_left: vec![Energy::ZERO; n],
             awake: vec![false; n],
             income_power: vec![Power::ZERO; n],
@@ -249,7 +257,6 @@ impl NodeColumns {
             cols.cold.push(NodeCold {
                 cfg: row.cfg,
                 caps: row.caps,
-                curve: row.curve,
                 pending: row.pending,
                 outbox: row.outbox,
                 rng: row.rng,
@@ -259,8 +266,9 @@ impl NodeColumns {
     }
 
     /// Rebuilds the row-oriented view — the inverse of
-    /// [`scatter`](NodeColumns::scatter). Test-only: the round-trip
-    /// property test asserts the split is lossless.
+    /// [`scatter`](NodeColumns::scatter), dropping the income table.
+    /// Test-only: the round-trip property test asserts the split is
+    /// lossless.
     #[cfg(test)]
     pub(crate) fn gather(self) -> Vec<NodeSim> {
         let NodeColumns {
@@ -283,7 +291,6 @@ impl NodeColumns {
                     cfg: cold.cfg,
                     cap,
                     rtc,
-                    curve: cold.curve,
                     schedule,
                     position,
                     hops_to_sink,
@@ -341,18 +348,12 @@ impl NodeColumns {
 mod tests {
     use super::*;
     use crate::node::SystemKind;
-    use neofog_energy::PowerTrace;
     use neofog_types::Duration;
     use proptest::prelude::*;
 
     /// One row with every field carrying node-distinct state, so a
     /// field dropped or cross-wired by scatter/gather shows up.
     fn row(i: usize, stored_mj: f64, pend: usize, out: usize, seed: u64, pos: usize) -> NodeSim {
-        let trace = PowerTrace::constant(
-            Power::from_milliwatts(0.5 + i as f64),
-            Duration::from_secs(60),
-            Duration::from_secs(1),
-        );
         let mut rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0));
         // Vary the RTC level (and possibly its sync state) per node.
         rtc.elapse(Duration::from_secs(seed % 7));
@@ -369,7 +370,6 @@ mod tests {
                 .with_charge_efficiency(0.65)
                 .with_initial(Energy::from_millijoules(stored_mj)),
             rtc,
-            curve: EnergyCurve::new(trace),
             schedule: SlotSchedule::new(3, (i % 3) as u32),
             position: pos,
             hops_to_sink: pos as u32,
@@ -403,7 +403,7 @@ mod tests {
                 .map(|(i, &(mj, p, o, seed, pos))| row(i, mj, p, o, seed, pos))
                 .collect();
             let fe = SystemKind::FiosNeoFog.front_end();
-            let cols = NodeColumns::scatter(rows, fe);
+            let cols = NodeColumns::scatter(rows, Vec::new(), fe);
             // The FIFO-depth mirror is established by the split itself.
             for (depth, cold) in cols.fifo_depth.iter().zip(cols.cold.iter()) {
                 prop_assert_eq!(*depth as usize, cold.pending.len());

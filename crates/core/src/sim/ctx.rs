@@ -16,10 +16,9 @@ use super::columns::NodeColumns;
 use super::ledger::EnergyLedger;
 use crate::balance::{ChainBalanceInput, OffloadDecision};
 use crate::node::{NodeCapabilities, NodeConfig};
-use crate::sim::SimConfig;
-use neofog_energy::{EnergyCurve, Rtc, SuperCap};
+use neofog_energy::{Rtc, SuperCap};
 use neofog_net::slots::SlotSchedule;
-use neofog_types::{Duration, SimRng};
+use neofog_types::SimRng;
 use serde::{Deserialize, Serialize};
 
 /// Maximum fog backlog a node admits (packages); the NV buffer sheds
@@ -56,9 +55,6 @@ pub(crate) struct NodeSim {
     pub(crate) cfg: NodeConfig,
     pub(crate) cap: SuperCap,
     pub(crate) rtc: Rtc,
-    /// Prefix-summed income curve: `energy_between` is O(1) per slot
-    /// instead of walking every trace sample the slot covers.
-    pub(crate) curve: EnergyCurve,
     pub(crate) schedule: SlotSchedule,
     /// Logical chain position this node implements.
     pub(crate) position: usize,
@@ -79,10 +75,6 @@ pub(crate) struct NodeSim {
 pub(crate) struct SlotCtx {
     /// Slot index.
     pub(crate) slot: u64,
-    /// Slot start in simulated time.
-    pub(crate) t0: Duration,
-    /// Slot end in simulated time.
-    pub(crate) t1: Duration,
     /// One conservation ledger per node, opened against the stored
     /// level entering the slot and settled at slot end.
     pub(crate) ledgers: Vec<EnergyLedger>,
@@ -135,11 +127,8 @@ impl SlotCtx {
     /// Resets the context for `slot`, opening one ledger per node.
     /// Clears and refills every per-slot vector in place so their
     /// capacity survives from slot to slot.
-    pub(crate) fn reset(&mut self, cfg: &SimConfig, nodes: &NodeColumns, slot: u64) {
-        let t0 = Duration::from_micros(slot * cfg.slot_len.as_micros());
+    pub(crate) fn reset(&mut self, nodes: &NodeColumns, slot: u64) {
         self.slot = slot;
-        self.t0 = t0;
-        self.t1 = t0 + cfg.slot_len;
         self.ledgers.clear();
         self.ledgers
             .extend(nodes.cap.iter().map(|c| EnergyLedger::open(c.stored())));

@@ -1,19 +1,20 @@
-//! Phase 1 — harvest: integrate each node's income curve into its slot
+//! Phase 1 — harvest: book each node's slot income into its slot
 //! energy budget.
 //!
-//! Per node: the ambient income is read off the node's prefix-summed
-//! [`EnergyCurve`](neofog_energy::EnergyCurve) — two O(1) lookups
-//! instead of a walk over every trace sample the slot covers — scaled
-//! by the harvester front-end; the RTC capacitor charges first
-//! (charging priority) and, if it lost synchronization, attempts a
-//! stored-energy resync; what remains fills the `direct_left` budget
-//! column — FIOS nodes get a 90 %-efficient direct pool plus the
-//! capacitor, NOS nodes only the capacitor round-trip.
+//! Per node: the ambient income is one read from the income table
+//! `Simulator::new` folded from the node's power trace, scaled by the
+//! harvester front-end; the RTC capacitor charges first (charging
+//! priority) and, if it lost synchronization, attempts a stored-energy
+//! resync; what remains fills the `direct_left` budget column — FIOS
+//! nodes get a 90 %-efficient direct pool plus the capacitor, NOS
+//! nodes only the capacitor round-trip.
 //!
 //! The sweep zips exactly the columns it writes (capacitor, RTC,
-//! direct pool, income power) against the cold rows it reads (curve,
-//! config); the budget efficiencies are per-run scalars set when the
-//! columns were scattered, so nothing is stored per node here.
+//! direct pool, income power) with a stride through the node-major
+//! income table (this slot's value of each node) and the cold rows it
+//! reads (config); the budget efficiencies are per-run scalars set
+//! when the columns were scattered, so nothing is stored per node
+//! here.
 
 use super::columns::NodeColumns;
 use super::ctx::SlotCtx;
@@ -26,16 +27,20 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let slot_len = parts.cfg.slot_len;
     let fe = parts.cfg.node.front_end;
     let has_direct = fe.has_direct_channel();
+    let window = parts.cfg.window() as usize;
     let NodeColumns {
         cap,
         rtc,
         direct_left,
         income_power,
+        income: table,
         cold,
         ..
     } = &mut *parts.nodes;
-    for (i, (((((cold, cap), rtc), direct_left), income_power), ledger)) in cold
-        .iter_mut()
+    let ambients = table.iter().skip(ctx.slot as usize).step_by(window);
+    for (i, ((((((cold, ambient), cap), rtc), direct_left), income_power), ledger)) in cold
+        .iter()
+        .zip(ambients)
         .zip(cap.iter_mut())
         .zip(rtc.iter_mut())
         .zip(direct_left.iter_mut())
@@ -43,8 +48,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         .zip(ctx.ledgers.iter_mut())
         .enumerate()
     {
-        let ambient = cold.curve.energy_between(ctx.t0, ctx.t1);
-        let mut income = ambient * cold.cfg.harvester_efficiency;
+        let mut income = *ambient * cold.cfg.harvester_efficiency;
         ledger.credit_harvest(income);
         *income_power =
             Power::from_milliwatts(income.as_nanojoules() / slot_len.as_micros() as f64);

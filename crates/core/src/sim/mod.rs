@@ -15,8 +15,8 @@
 //! never allocates) and runs six explicit phase functions over it,
 //! in order — one module per phase:
 //!
-//! 1. [`harvest`] — each physical node reads its prefix-summed income
-//!    curve over the slot (O(1) per node),
+//! 1. [`harvest`] — each physical node reads its income for the slot
+//!    from the table `Simulator::new` folded from its power trace,
 //!    feeds the RTC capacitor first (charging priority), then builds
 //!    its slot energy budget through its front-end: FIOS nodes get a
 //!    90 %-efficient direct pool plus the capacitor; NOS nodes only
@@ -169,11 +169,12 @@ pub struct SimConfig {
     pub slots: u64,
     /// Slot length.
     pub slot_len: Duration,
-    /// Sampling interval of the synthesized power traces. The paper
-    /// evaluation uses 1 s (several samples per 12 s slot); fleet-scale
-    /// benchmarks coarsen it to `slot_len` so a 10⁶-node chain's curves
-    /// fit in memory (per-node curve storage is proportional to
-    /// `slots × slot_len / trace_dt`).
+    /// Sampling interval of the synthesized power traces, which must be
+    /// positive. The paper evaluation uses 1 s (several samples per
+    /// 12 s slot). Construction folds each node's trace into its
+    /// `slots` per-slot incomes and stores nothing else, so `trace_dt`
+    /// sets how many random draws set-up makes (`slots × slot_len /
+    /// trace_dt` per node), not how much memory a run holds.
     pub trace_dt: Duration,
     /// Trace/loss random seed (the paper's "power profile" index).
     pub seed: u64,
@@ -243,6 +244,13 @@ impl SimConfig {
     #[must_use]
     pub fn ideal_packages(&self) -> u64 {
         self.positions as u64 * self.slots
+    }
+
+    /// The slot window [`Simulator::advance`] cycles through, which is
+    /// also the number of per-slot incomes built per node: `slots`,
+    /// but at least one.
+    fn window(&self) -> u64 {
+        self.slots.max(1)
     }
 }
 
@@ -315,10 +323,18 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`NeoFogError::InvalidConfig`] when the balancer rejects
-    /// the slot length (see [`BalancerKind::build`]) or when
-    /// `events_path` cannot be created.
+    /// Returns [`NeoFogError::InvalidConfig`] when the slot length or
+    /// the trace interval is zero, when the balancer rejects the slot
+    /// length (see [`BalancerKind::build`]) or when `events_path`
+    /// cannot be created.
     pub fn new(cfg: SimConfig) -> Result<Self> {
+        if cfg.slot_len.is_zero() || cfg.trace_dt.is_zero() {
+            return Err(NeoFogError::invalid_config(format!(
+                "slot length and trace interval must be positive (got {} µs and {} µs)",
+                cfg.slot_len.as_micros(),
+                cfg.trace_dt.as_micros()
+            )));
+        }
         let physical = cfg.positions * cfg.multiplex as usize;
         let gen = TraceGenerator::new(cfg.scenario, cfg.seed);
         let total_time = Duration::from_micros(cfg.slot_len.as_micros() * cfg.slots);
@@ -327,6 +343,14 @@ impl Simulator {
         // their shared base curve exactly once here, instead of once
         // per physical node.
         let plan = gen.chain_plan(physical, total_time, trace_dt);
+        // Fold each node's trace into its per-slot incomes as it is
+        // synthesized: one node-major table of `window` values per
+        // node. No trace outlives its fold.
+        let window = cfg.window() as usize;
+        let mut income = vec![Energy::ZERO; window * physical];
+        for (idx, incomes) in income.chunks_mut(window).enumerate() {
+            plan.slot_incomes(idx, cfg.income_scale, cfg.slot_len, incomes);
+        }
         // Compile the topology once: the slot loop only reads the
         // resulting next-hop/hops/order tables.
         let route = cfg.topology.build(cfg.positions)?;
@@ -345,7 +369,6 @@ impl Simulator {
                 } else {
                     SlotSchedule::new(cfg.multiplex, k)
                 };
-                let curve = plan.node_curve(idx, cfg.income_scale);
                 let cap = SuperCap::new(cfg.node.cap_capacity)
                     .with_charge_efficiency(0.65)
                     .with_leak(cfg.node.cap_leak)
@@ -355,7 +378,6 @@ impl Simulator {
                     cfg: cfg.node,
                     cap,
                     rtc,
-                    curve,
                     schedule,
                     position: p,
                     hops_to_sink: route.hops(p),
@@ -367,9 +389,9 @@ impl Simulator {
             }
         }
         // Scatter the construction rows into the columnar layout the
-        // slot kernel sweeps (hot fields become dense arrays; queues,
-        // curves and RNG streams stay row-oriented).
-        let nodes = NodeColumns::scatter(nodes, cfg.node.front_end);
+        // slot kernel sweeps (hot fields become dense arrays beside the
+        // income table; queues and RNG streams stay row-oriented).
+        let nodes = NodeColumns::scatter(nodes, income, cfg.node.front_end);
         let loss = LossModel::paper_default().with_weather_loss(cfg.weather_loss);
         let balancer = cfg.balancer.build(cfg.slot_len)?;
         let metrics = MetricsObserver::new(physical);
@@ -464,7 +486,7 @@ impl Simulator {
     /// produce the paper's metrics uses [`Simulator::run`], which
     /// performs exactly one pass over the window.
     pub fn advance(&mut self, slots: u64) {
-        let window = self.cfg.slots.max(1);
+        let window = self.cfg.window();
         for _ in 0..slots {
             self.step(self.next_slot % window);
             self.next_slot += 1;
@@ -508,7 +530,7 @@ impl Simulator {
         // refilled in place, so capacity survives across all slots.
         let mut ctx = std::mem::take(&mut self.scratch);
         self.nodes.begin_slot();
-        ctx.reset(&self.cfg, &self.nodes, slot);
+        ctx.reset(&self.nodes, slot);
         self.emit(&SimEvent::SlotBegan { slot });
         harvest::run(self, &mut ctx);
         wake::run(self, &mut ctx);
@@ -656,6 +678,44 @@ mod tests {
             Simulator::new(cfg),
             Err(NeoFogError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn zero_slot_length_or_trace_interval_is_rejected() {
+        for balancer in [
+            BalancerKind::None,
+            BalancerKind::Tree,
+            BalancerKind::Distributed,
+            BalancerKind::Offload,
+        ] {
+            let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+            cfg.balancer = balancer;
+            cfg.slot_len = Duration::ZERO;
+            assert!(
+                matches!(Simulator::new(cfg), Err(NeoFogError::InvalidConfig { .. })),
+                "{balancer:?} accepted a zero slot length"
+            );
+        }
+        for scenario in [Scenario::ForestIndependent, Scenario::BridgeDependent] {
+            let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, scenario, 1);
+            cfg.trace_dt = Duration::ZERO;
+            assert!(
+                matches!(Simulator::new(cfg), Err(NeoFogError::InvalidConfig { .. })),
+                "{scenario:?} accepted a zero trace interval"
+            );
+        }
+        // An empty window still advances: the income table keeps one
+        // slot, over a trace with no samples.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.slots = 0;
+        let mut sim = build(cfg);
+        sim.advance(3);
+        let result = sim.run();
+        assert!(result
+            .metrics
+            .nodes
+            .iter()
+            .all(|n| n.harvested == Energy::ZERO));
     }
 
     #[test]

@@ -114,8 +114,9 @@ fn wide_chain_columnar_sweeps_are_allocation_free_after_warmup() {
     // compute skip, transmit relay fold, slot end) each walk
     // thousand-element columns, and `begin_slot`'s in-place fills plus
     // the transmit suffix-sum must not regrow anything. The trace
-    // resolution is coarsened to the slot length so the per-node
-    // curves stay small at this width.
+    // resolution is coarsened to the slot length so building this
+    // width takes fewer random draws; each node stores only its
+    // per-slot incomes either way.
     let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, 1);
     cfg.positions = 1_000;
     cfg.slots = 60;

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! The configuration mirrors the `slot_kernel` bench: the trace
-//! resolution is coarsened to the slot length (per-node curve storage
-//! scales with `slots × slot_len / trace_dt`, which is what makes a
-//! 10⁶-node chain's curves fit in memory) and the balancer is `None`
-//! (the balancers still allocate per call, DESIGN.md §11).
+//! resolution is coarsened to the slot length (each node stores only
+//! its `slots` per-slot incomes, so this cuts set-up's random draws,
+//! not memory) and the balancer is `None` (the balancers still
+//! allocate per call, DESIGN.md §11).
 //!
 //! The allocation counter is process-global, so the two tests hold
 //! [`SERIAL`] for their whole run: the 10⁶-node build must not allocate

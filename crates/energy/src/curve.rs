@@ -16,6 +16,12 @@
 //! rounding of one pass over the trace. The property tests in
 //! `tests/prop_curve.rs` pin that bound.
 //!
+//! The simulator stores no curves: [`ChainPlan::slot_incomes`] folds
+//! each synthesized trace straight into per-slot incomes, bit-identical
+//! to this type's `energy_between` over each slot.
+//!
+//! [`ChainPlan::slot_incomes`]: crate::ChainPlan::slot_incomes
+//!
 //! # Examples
 //!
 //! ```

@@ -13,7 +13,7 @@
 //!   with occasional dimming, shared weather (dependent).
 
 use crate::curve::EnergyCurve;
-use neofog_types::{Duration, Power, SimRng};
+use neofog_types::{Duration, Energy, Power, SimRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -387,12 +387,10 @@ impl ChainPlan {
     /// Panics if `index >= self.len()`.
     #[must_use]
     pub fn node_trace(&self, index: usize) -> PowerTrace {
-        assert!(index < self.streams.len(), "node index out of plan range");
-        let rng = self.streams[index].clone();
-        match &self.base {
-            Some(base) => perturb_with(rng, self.scenario.variance(), base),
-            None => independent_with(rng, self.scenario, self.total, self.dt),
-        }
+        let n = self.total.as_micros().div_ceil(self.dt.as_micros());
+        let mut samples = Vec::with_capacity(n as usize);
+        self.synthesize(index, |p| samples.push(p));
+        PowerTrace::from_samples(self.dt, samples)
     }
 
     /// Realizes the prefix-summed [`EnergyCurve`] for node `index`,
@@ -406,6 +404,115 @@ impl ChainPlan {
         let mut trace = self.node_trace(index);
         trace.scale_in_place(income_scale);
         EnergyCurve::new(trace)
+    }
+
+    /// Writes the energy node `index`'s trace delivers over each slot
+    /// into `incomes`: `incomes[s]` covers `[s·slot_len,
+    /// (s+1)·slot_len)`, with every sample scaled by `income_scale`
+    /// (clamped at zero). The samples are folded as they are
+    /// synthesized, so the trace is never stored.
+    ///
+    /// Each income is bit-identical to
+    /// `self.node_curve(index, income_scale).energy_between(t0, t1)`
+    /// over the same slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn slot_incomes(
+        &self,
+        index: usize,
+        income_scale: f64,
+        slot_len: Duration,
+        incomes: &mut [Energy],
+    ) {
+        let slot_us = slot_len.as_micros();
+        let mut fold = IncomeFold {
+            incomes: incomes.iter_mut(),
+            last: Energy::ZERO,
+            boundary: slot_us,
+            slot_us,
+            scale: income_scale,
+            dt_us: self.dt.as_micros(),
+            start: 0,
+            total: 0.0,
+        };
+        self.synthesize(index, |p| fold.fold_sample(p));
+        fold.fold_tail();
+    }
+
+    /// Streams node `index`'s samples, in time order, into `sink`: the
+    /// one synthesis routine behind [`ChainPlan::node_trace`] and
+    /// [`ChainPlan::slot_incomes`].
+    fn synthesize(&self, index: usize, sink: impl FnMut(Power)) {
+        assert!(index < self.streams.len(), "node index out of plan range");
+        let Some(rng) = self.streams.get(index).cloned() else {
+            return;
+        };
+        match &self.base {
+            Some(base) => perturb_with(rng, self.scenario.variance(), base, sink),
+            None => independent_with(rng, self.scenario, self.total, self.dt, sink),
+        }
+    }
+}
+
+/// Folds a stream of trace samples into per-slot incomes.
+///
+/// It performs the f64 operations of [`EnergyCurve::new`] and then of
+/// `EnergyCurve::cumulative_at` at each slot boundary, in the same
+/// order, so every income equals the curve's `energy_between` bit for
+/// bit. The first boundary, time zero, reads zero on every finite
+/// trace, so the fold starts from zero at the end of slot 0.
+/// Boundaries advance by addition against a running sample end, so no
+/// sample costs a division.
+struct IncomeFold<'a> {
+    /// The incomes still to write, in slot order.
+    incomes: std::slice::IterMut<'a, Energy>,
+    /// Cumulative energy at the previous boundary.
+    last: Energy,
+    /// The end of the next income's slot, µs; `u64::MAX` once every
+    /// income is written.
+    boundary: u64,
+    slot_us: u64,
+    scale: f64,
+    dt_us: u64,
+    /// Start of the next sample, µs.
+    start: u64,
+    /// Energy of every sample before `start`, nJ.
+    total: f64,
+}
+
+impl IncomeFold<'_> {
+    /// Closes every slot whose end falls inside the sample
+    /// `[start, start + dt)`, then adds the sample to the running
+    /// total.
+    fn fold_sample(&mut self, p: Power) {
+        let p = (p * self.scale).max_zero();
+        let end = self.start + self.dt_us;
+        while self.boundary < end {
+            let Some(income) = self.incomes.next() else {
+                self.boundary = u64::MAX;
+                break;
+            };
+            let within = Duration::from_micros(self.boundary - self.start);
+            let cum = Energy::from_nanojoules(self.total) + p * within;
+            *income = cum.saturating_sub(self.last);
+            self.last = cum;
+            self.boundary += self.slot_us;
+        }
+        self.total += p.as_milliwatts() * self.dt_us as f64;
+        self.start = end;
+    }
+
+    /// Closes the slots that end at or past the trace end, where the
+    /// cumulative energy stays at the total.
+    fn fold_tail(self) {
+        let cum = Energy::from_nanojoules(self.total);
+        let mut last = self.last;
+        for income in self.incomes {
+            *income = cum.saturating_sub(last);
+            last = cum;
+        }
     }
 }
 
@@ -449,26 +556,27 @@ fn independent_with(
     scenario: Scenario,
     total: Duration,
     dt: Duration,
-) -> PowerTrace {
+    mut sink: impl FnMut(Power),
+) {
     let library = segment_library(scenario);
     let n = total.as_micros().div_ceil(dt.as_micros());
-    let mut samples = Vec::with_capacity(n as usize);
     let fallback = Segment {
         mean: scenario.mean_power().as_milliwatts(),
         jitter: 0.1,
         len_samples: 60,
     };
-    while (samples.len() as u64) < n {
+    let mut made = 0;
+    while made < n {
         // The library is a non-empty constant table; the fallback
         // segment only guards the type-level empty case.
         let seg = *rng.pick(&library).unwrap_or(&fallback);
-        let take = seg.len_samples.min((n as usize) - samples.len());
+        let take = (seg.len_samples as u64).min(n - made);
         for _ in 0..take {
             let p = seg.mean * (1.0 + seg.jitter * (2.0 * rng.next_f64() - 1.0));
-            samples.push(Power::from_milliwatts(p.max(0.0)));
+            sink(Power::from_milliwatts(p.max(0.0)));
         }
+        made += take;
     }
-    PowerTrace::from_samples(dt, samples)
 }
 
 fn base_curve_with(mut rng: SimRng, mean: f64, total: Duration, dt: Duration) -> PowerTrace {
@@ -491,19 +599,14 @@ fn base_curve_with(mut rng: SimRng, mean: f64, total: Duration, dt: Duration) ->
     PowerTrace::from_samples(dt, samples)
 }
 
-fn perturb_with(mut rng: SimRng, var: f64, base: &PowerTrace) -> PowerTrace {
+fn perturb_with(mut rng: SimRng, var: f64, base: &PowerTrace, mut sink: impl FnMut(Power)) {
     // Per-node static factor (panel angle / placement)...
     let factor = 1.0 + var * (2.0 * rng.next_f64() - 1.0);
     // ...plus small fast per-sample jitter.
-    let samples = base
-        .samples()
-        .iter()
-        .map(|p| {
-            let jitter = 1.0 + 0.05 * (2.0 * rng.next_f64() - 1.0);
-            (*p * (factor * jitter)).max_zero()
-        })
-        .collect();
-    PowerTrace::from_samples(base.dt(), samples)
+    for p in base.samples() {
+        let jitter = 1.0 + 0.05 * (2.0 * rng.next_f64() - 1.0);
+        sink((*p * (factor * jitter)).max_zero());
+    }
 }
 
 #[cfg(test)]

@@ -6,10 +6,12 @@
 //! actually correlated with the batch output. The plan API fixes this:
 //! single-trace generation must be element-wise identical to batch
 //! generation for every scenario, and the dependent base curve must be
-//! synthesized once and shared.
+//! synthesized once and shared. The simulator's per-slot incomes, which
+//! the plan folds without storing a trace, must equal the curve
+//! integrals bit for bit.
 
 use neofog_energy::{EnergyCurve, Scenario, TraceGenerator};
-use neofog_types::Duration;
+use neofog_types::{Duration, Energy};
 use std::sync::Arc;
 
 const SCENARIOS: [Scenario; 4] = [
@@ -106,6 +108,53 @@ fn node_curve_equals_scaled_trace_curve() {
             assert_eq!(via_plan, by_hand, "{scenario:?} node {i}");
         }
     }
+}
+
+#[test]
+fn slot_incomes_equal_curve_integrals_bit_for_bit() {
+    // Trace intervals that divide the 12 s slot, that do not (5 s,
+    // 7 s) and that are longer than it (13 s, 30 s); windows from none
+    // to the paper's 1,500 slots; scales that clamp every sample to
+    // zero, that zero it, and that scale it down and up.
+    let slot = Duration::from_secs(12);
+    let mut compared = 0;
+    for scenario in SCENARIOS {
+        for seed in [1, 2, 97] {
+            for dt_secs in [1, 5, 7, 12, 13, 30] {
+                for slots in [0, 1, 37, 1500] {
+                    let total = Duration::from_micros(slot.as_micros() * slots);
+                    let plan = TraceGenerator::new(scenario, seed).chain_plan(
+                        4,
+                        total,
+                        Duration::from_secs(dt_secs),
+                    );
+                    for i in 0..4 {
+                        for scale in [-1.0, 0.0, 0.75, 1.0, 3.0] {
+                            let curve = plan.node_curve(i, scale);
+                            // A simulator keeps at least one slot's
+                            // income, even over an empty window.
+                            let mut incomes =
+                                vec![Energy::from_nanojoules(-1.0); slots.max(1) as usize];
+                            plan.slot_incomes(i, scale, slot, &mut incomes);
+                            let mut t0 = Duration::ZERO;
+                            for (s, income) in incomes.iter().enumerate() {
+                                let want = curve.energy_between(t0, t0 + slot);
+                                assert_eq!(
+                                    income.as_nanojoules().to_bits(),
+                                    want.as_nanojoules().to_bits(),
+                                    "{scenario:?} seed {seed}, dt {dt_secs} s, {slots} slots, \
+                                     node {i}, scale {scale}: slot {s}"
+                                );
+                                t0 += slot;
+                            }
+                            compared += incomes.len();
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 4 * 3 * 6 * 4 * 5 * (1 + 1 + 37 + 1500));
 }
 
 fn correlation(a: &neofog_energy::PowerTrace, b: &neofog_energy::PowerTrace) -> f64 {
