@@ -250,7 +250,8 @@ impl PackageSpec {
 /// `NODES_CONFIG` rows: how fast the node computes relative to the
 /// paper's sensor MCU, its radio front-end power envelope and its link
 /// rates. One row is derived per topology tier (see
-/// [`TierCapabilities`]) and carried on every node's cold state.
+/// [`TierCapabilities`]); a simulation stores one row per chain
+/// position, which that position's clones share.
 ///
 /// The radio fields feed the Kryszkiewicz et al. offload energy model
 /// (arXiv:2104.12913): shipping a task's data costs the front-end

@@ -52,47 +52,43 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         ..
     } = ctx;
     // One representative per position: the awake clone (if any).
+    let multiplex = parts.cfg.multiplex as usize;
     reps.clear();
-    reps.extend(
-        parts
-            .positions
-            .iter()
-            .map(|phys| phys.iter().copied().find(|&i| cols.awake[i])),
-    );
+    reps.extend((0..parts.cfg.positions).map(|pos| cols.awake_clone(pos, multiplex)));
     // Rewrite every position's state in full; only the task vectors'
     // capacity carries over from the previous slot.
     chain.nodes.resize_with(reps.len(), || vacant(Vec::new()));
     rep_packages.clear();
     let radio = parts.cfg.node.radio;
-    for (pos, (state, rep)) in chain.nodes.iter_mut().zip(reps.iter()).enumerate() {
+    let tx_reserve = radio.session_cost(parts.rf)
+        + radio.packet_cost(parts.rf, parts.cfg.node.package.processed_bytes) * 2.0;
+    for ((state, rep), caps) in chain.nodes.iter_mut().zip(reps.iter()).zip(parts.caps) {
         let mut tasks = std::mem::take(&mut state.tasks);
         tasks.clear();
         let Some(i) = *rep else {
             *state = vacant(tasks);
             continue;
         };
-        let cold = &cols.cold[i];
-        let level_income = cols.income_power[i];
-        let tx_reserve = radio.session_cost(parts.rf)
-            + radio.packet_cost(parts.rf, cold.cfg.package.processed_bytes) * 2.0;
+        let pending = &cols.cold[i].pending;
+        let level = parts.spendthrift.choose(cols.income_power[i]);
         let spare =
             columns::budget_available(cols.direct_left[i], cols.discharge_eff, &cols.cap[i])
                 .saturating_sub(tx_reserve);
         let first = rep_packages.len();
         tasks.extend(
-            cold.pending
+            pending
                 .iter()
                 .enumerate()
-                .map(|(k, p)| FogTask::new(p.fog_remaining, (first + k) as u64)),
+                .map(|(k, p)| FogTask::new(u64::from(p.fog_remaining), (first + k) as u64)),
         );
-        rep_packages.extend_from_slice(&cold.pending);
+        rep_packages.extend_from_slice(pending);
         *state = NodeBalanceState {
             node: NodeId::new(i as u32),
             spare_energy: spare,
-            efficiency: parts.spendthrift.efficiency(level_income),
+            efficiency: level.efficiency(),
             // Tier capability scales execution speed (×1.0 exact on
             // all-sensor chains).
-            throughput: parts.spendthrift.throughput(level_income) * parts.caps[pos].compute_rate,
+            throughput: level.throughput() * caps.compute_rate,
             tasks,
             alive: true,
         };

@@ -2,11 +2,12 @@
 //! kernel sweeps over.
 //!
 //! The phase functions are linear passes over every physical node, and
-//! at fleet scale (10⁵–10⁶ nodes per chain) the array-of-structs
-//! [`NodeSim`] layout made each pass a pointer-chase: harvesting
-//! touched a capacitor, an RTC, an energy curve and two queues per
-//! node even though it only *needed* the capacitor level and the
-//! slot's income. This module splits that state by temperature:
+//! at fleet scale (10⁵–10⁶ nodes per chain) an array-of-structs layout
+//! makes each pass a pointer-chase: harvesting would touch a
+//! capacitor, an RTC and two queues per node even though it only
+//! *needs* the capacitor level and the slot's income. This module
+//! splits that state by temperature and stores each piece once, at the
+//! size it needs:
 //!
 //! * **Hot columns** — one `Vec` per field the sweeps read every slot:
 //!   capacitor, RTC, schedule, chain position, NV FIFO depth, the
@@ -17,20 +18,25 @@
 //!   slot of the window, in one flat node-major `Vec`, folded from the
 //!   node's power trace at construction. The harvest sweep strides
 //!   through it, one value per node per slot.
-//! * **Cold rows** — [`NodeCold`]: the node config, the package queues
-//!   and the RNG stream. These are touched only when a node actually
-//!   wakes, computes or transmits, so they stay row-oriented and are
-//!   reached through [`NodeView`].
+//! * **Cold rows** — [`NodeCold`]: the two package queues and the RNG
+//!   stream, and nothing else. These are touched only when a node
+//!   actually wakes, computes or transmits, so they stay row-oriented
+//!   and are reached through [`NodeView`].
+//! * **Per-run state** — nothing that is the same for every node is
+//!   stored per node. The phases read the run's `NodeConfig`
+//!   (`SimConfig::node`) and each position's capability row
+//!   (`Simulator::caps`) directly, and the front-end efficiencies the
+//!   budget functions take are two scalars on [`NodeColumns`].
+//!
+//! [`NodeColumns::new`] fills the columns in place, position-major:
+//! position `p`'s clones are physical nodes `p·m .. (p+1)·m`, where `m`
+//! is the multiplex factor. There is no intermediate per-node row.
 //!
 //! The per-slot energy budget arithmetic that used to live on
 //! `SlotBudget` is preserved *verbatim* as the free functions
 //! [`budget_available`], [`spend_budget`] and [`leftover_income`]
 //! (identical operation order, so event logs stay bit-identical to the
-//! row-oriented pipeline — `tests/columns_goldens.rs` pins that). The
-//! front-end efficiencies they take are per-*run* scalars on
-//! [`NodeColumns`], not per-node columns: every node shares the same
-//! `NodeConfig`, so storing them per node would be n copies of two
-//! constants.
+//! row-oriented pipeline — `tests/columns_goldens.rs` pins that).
 //!
 //! Balance credits are a column (not a scratch `Vec<usize>` of
 //! participant indices, as the balance phase used to allocate) so the
@@ -38,21 +44,16 @@
 //! every awake node, then spend marked credits in index order —
 //! allocation-free and in the same order the participant list gave.
 
-use super::ctx::{NodeSim, Package};
+use super::ctx::{Package, QUEUE_RESERVE};
 use super::ledger::EnergyLedger;
-use crate::node::{NodeCapabilities, NodeConfig};
-use neofog_energy::{FrontEnd, Rtc, SuperCap};
+use super::SimConfig;
+use neofog_energy::{Rtc, SuperCap};
 use neofog_net::slots::SlotSchedule;
+use neofog_net::RoutePlan;
 use neofog_types::{Energy, Power, SimRng};
 
 /// Rarely-touched per-node state, reached only when a node is active.
-#[cfg_attr(test, derive(Debug, Clone, PartialEq))]
 pub(crate) struct NodeCold {
-    /// Node design parameters (identical across the fleet).
-    pub(crate) cfg: NodeConfig,
-    /// Tier-derived radio/compute capability row (varies by tier, not
-    /// per node, so it is cold: read only in compute and balance).
-    pub(crate) caps: NodeCapabilities,
     /// Packages awaiting fog processing (fog systems only).
     pub(crate) pending: Vec<Package>,
     /// Packages ready for transmission.
@@ -61,13 +62,15 @@ pub(crate) struct NodeCold {
     pub(crate) rng: SimRng,
 }
 
+const _: () = assert!(
+    std::mem::size_of::<NodeCold>()
+        == 2 * std::mem::size_of::<Vec<Package>>() + std::mem::size_of::<SimRng>()
+);
+
 /// All per-node state, columnar for the hot fields.
 ///
-/// Indices are physical node indices, identical to the old
-/// `Vec<NodeSim>` order (and to [`Simulator::new`]'s construction
-/// order), so every event keeps its node id.
-///
-/// [`Simulator::new`]: super::Simulator::new
+/// Indices are physical node indices, position-major and clone-minor
+/// (see [`NodeColumns::new`]), so every event keeps its node id.
 pub(crate) struct NodeColumns {
     // --- durable hot columns (persist across slots) ---
     /// Main super-capacitor per node.
@@ -121,8 +124,6 @@ pub(crate) struct NodeColumns {
 /// `direct_left`/`cap` are sibling fields the borrow checker can split
 /// (`&mut *view.direct_left` while `view.pending`'s head is live).
 pub(crate) struct NodeView<'a> {
-    /// Node design parameters.
-    pub(crate) cfg: &'a NodeConfig,
     /// Main super-capacitor.
     pub(crate) cap: &'a mut SuperCap,
     /// Fog-processing queue.
@@ -139,8 +140,6 @@ pub(crate) struct NodeView<'a> {
     pub(crate) position: usize,
     /// Route-plan hop count to the sink.
     pub(crate) hops_to_sink: u32,
-    /// Tier-derived capability row.
-    pub(crate) caps: NodeCapabilities,
     /// Mean income power this slot.
     pub(crate) income_power: Power,
     /// Direct-channel efficiency (per-run scalar).
@@ -221,19 +220,39 @@ pub(crate) fn leftover_income(direct_left: &mut Energy, direct_eff: f64) -> Ener
 }
 
 impl NodeColumns {
-    /// Splits row-oriented node state into columns beside the node-major
-    /// `income` table. `fe` is the fleet's shared front-end (every node
-    /// has the same `NodeConfig`), which fixes the per-run budget
-    /// efficiencies.
-    pub(crate) fn scatter(rows: Vec<NodeSim>, income: Vec<Energy>, fe: FrontEnd) -> NodeColumns {
-        let n = rows.len();
-        let mut cols = NodeColumns {
-            cap: Vec::with_capacity(n),
-            rtc: Vec::with_capacity(n),
-            schedule: Vec::with_capacity(n),
-            position: Vec::with_capacity(n),
-            hops_to_sink: Vec::with_capacity(n),
-            fifo_depth: Vec::with_capacity(n),
+    /// Builds the state of `cfg.positions × cfg.multiplex` physical
+    /// nodes beside the node-major `income` table, filling each column
+    /// in place. Nodes are position-major: position `p`'s clones are
+    /// nodes `p·m .. (p+1)·m` (`m` = `cfg.multiplex`), and node `i` is
+    /// clone `i % m` of position `i / m`. Every node starts from the
+    /// run's `NodeConfig`, with empty queues reserved to
+    /// [`QUEUE_RESERVE`] and the RNG stream `fork(i)` of one
+    /// construction RNG, forked in node order.
+    pub(crate) fn new(cfg: &SimConfig, route: &RoutePlan, income: Vec<Energy>) -> NodeColumns {
+        let m = cfg.multiplex as usize;
+        let n = cfg.positions * m;
+        let node = &cfg.node;
+        let cap = SuperCap::new(node.cap_capacity)
+            .with_charge_efficiency(0.65)
+            .with_leak(node.cap_leak)
+            .with_initial(node.cap_capacity * node.initial_charge);
+        let rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0));
+        let schedule = |i: usize| {
+            if m == 1 {
+                SlotSchedule::every_slot()
+            } else {
+                SlotSchedule::new(cfg.multiplex, (i % m) as u32)
+            }
+        };
+        let mut rng = SimRng::seed_from(cfg.seed ^ 0x5EED);
+        let fe = node.front_end;
+        NodeColumns {
+            cap: vec![cap; n],
+            rtc: vec![rtc; n],
+            schedule: (0..n).map(schedule).collect(),
+            position: (0..n).map(|i| i / m).collect(),
+            hops_to_sink: (0..n).map(|i| route.hops(i / m)).collect(),
+            fifo_depth: vec![0; n],
             income,
             direct_left: vec![Energy::ZERO; n],
             awake: vec![false; n],
@@ -245,62 +264,14 @@ impl NodeColumns {
                 0.0
             },
             discharge_eff: fe.discharge_efficiency(),
-            cold: Vec::with_capacity(n),
-        };
-        for row in rows {
-            cols.cap.push(row.cap);
-            cols.rtc.push(row.rtc);
-            cols.schedule.push(row.schedule);
-            cols.position.push(row.position);
-            cols.hops_to_sink.push(row.hops_to_sink);
-            cols.fifo_depth.push(row.pending.len() as u32);
-            cols.cold.push(NodeCold {
-                cfg: row.cfg,
-                caps: row.caps,
-                pending: row.pending,
-                outbox: row.outbox,
-                rng: row.rng,
-            });
+            cold: (0..n)
+                .map(|i| NodeCold {
+                    pending: Vec::with_capacity(QUEUE_RESERVE),
+                    outbox: Vec::with_capacity(QUEUE_RESERVE),
+                    rng: rng.fork(i as u64),
+                })
+                .collect(),
         }
-        cols
-    }
-
-    /// Rebuilds the row-oriented view — the inverse of
-    /// [`scatter`](NodeColumns::scatter), dropping the income table.
-    /// Test-only: the round-trip property test asserts the split is
-    /// lossless.
-    #[cfg(test)]
-    pub(crate) fn gather(self) -> Vec<NodeSim> {
-        let NodeColumns {
-            cap,
-            rtc,
-            schedule,
-            position,
-            hops_to_sink,
-            cold,
-            ..
-        } = self;
-        cap.into_iter()
-            .zip(rtc)
-            .zip(schedule)
-            .zip(position)
-            .zip(hops_to_sink)
-            .zip(cold)
-            .map(
-                |(((((cap, rtc), schedule), position), hops_to_sink), cold)| NodeSim {
-                    cfg: cold.cfg,
-                    cap,
-                    rtc,
-                    schedule,
-                    position,
-                    hops_to_sink,
-                    caps: cold.caps,
-                    pending: cold.pending,
-                    outbox: cold.outbox,
-                    rng: cold.rng,
-                },
-            )
-            .collect()
     }
 
     /// Number of physical nodes.
@@ -317,6 +288,15 @@ impl NodeColumns {
         self.balance_credit.fill(Energy::ZERO);
     }
 
+    /// The first awake clone of position `pos` this slot, if any.
+    /// `multiplex` is the run's clone count per position, so the
+    /// clones are nodes `pos·multiplex .. (pos+1)·multiplex`.
+    pub(crate) fn awake_clone(&self, pos: usize, multiplex: usize) -> Option<usize> {
+        let first = pos * multiplex;
+        let clones = self.awake.get(first..first + multiplex)?;
+        clones.iter().position(|&a| a).map(|k| first + k)
+    }
+
     /// A row lens over node `i` (disjoint `&mut`s; see [`NodeView`]).
     pub(crate) fn view(&mut self, i: usize) -> NodeView<'_> {
         let cold = &mut self.cold[i];
@@ -327,7 +307,6 @@ impl NodeColumns {
             "node {i}: FIFO depth mirror out of sync"
         );
         NodeView {
-            cfg: &cold.cfg,
             cap: &mut self.cap[i],
             pending: &mut cold.pending,
             outbox: &mut cold.outbox,
@@ -336,7 +315,6 @@ impl NodeColumns {
             direct_left: &mut self.direct_left[i],
             position: self.position[i],
             hops_to_sink: self.hops_to_sink[i],
-            caps: cold.caps,
             income_power: self.income_power[i],
             direct_eff: self.direct_eff,
             discharge_eff: self.discharge_eff,
@@ -347,71 +325,6 @@ impl NodeColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::SystemKind;
-    use neofog_types::Duration;
-    use proptest::prelude::*;
-
-    /// One row with every field carrying node-distinct state, so a
-    /// field dropped or cross-wired by scatter/gather shows up.
-    fn row(i: usize, stored_mj: f64, pend: usize, out: usize, seed: u64, pos: usize) -> NodeSim {
-        let mut rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0));
-        // Vary the RTC level (and possibly its sync state) per node.
-        rtc.elapse(Duration::from_secs(seed % 7));
-        let mut rng = SimRng::seed_from(seed);
-        let pkg = |k: usize, done: bool| Package {
-            origin: i,
-            created: k as u64,
-            fog_remaining: if done { 0 } else { 1 + k as u64 * 17 },
-            fog_done: done,
-        };
-        NodeSim {
-            cfg: NodeConfig::paper_default(SystemKind::FiosNeoFog),
-            cap: SuperCap::new(Energy::from_millijoules(100.0))
-                .with_charge_efficiency(0.65)
-                .with_initial(Energy::from_millijoules(stored_mj)),
-            rtc,
-            schedule: SlotSchedule::new(3, (i % 3) as u32),
-            position: pos,
-            hops_to_sink: pos as u32,
-            caps: crate::node::TierCapabilities::paper_default().sensor,
-            pending: (0..pend).map(|k| pkg(k, false)).collect(),
-            outbox: (0..out).map(|k| pkg(k, k % 2 == 0)).collect(),
-            rng: rng.fork(i as u64),
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// scatter → gather is lossless: every field of every row
-        /// survives the columnar split bit-for-bit.
-        #[test]
-        fn scatter_gather_round_trips(
-            specs in prop::collection::vec(
-                (0.0..100.0f64, 0usize..8, 0usize..6, any::<u64>(), 0usize..10),
-                1..24,
-            )
-        ) {
-            let rows: Vec<NodeSim> = specs
-                .iter()
-                .enumerate()
-                .map(|(i, &(mj, p, o, seed, pos))| row(i, mj, p, o, seed, pos))
-                .collect();
-            let reference: Vec<NodeSim> = specs
-                .iter()
-                .enumerate()
-                .map(|(i, &(mj, p, o, seed, pos))| row(i, mj, p, o, seed, pos))
-                .collect();
-            let fe = SystemKind::FiosNeoFog.front_end();
-            let cols = NodeColumns::scatter(rows, Vec::new(), fe);
-            // The FIFO-depth mirror is established by the split itself.
-            for (depth, cold) in cols.fifo_depth.iter().zip(cols.cold.iter()) {
-                prop_assert_eq!(*depth as usize, cold.pending.len());
-            }
-            let back = cols.gather();
-            prop_assert_eq!(back, reference);
-        }
-    }
 
     #[test]
     fn budget_math_matches_the_row_pipeline() {

@@ -27,9 +27,22 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let fog_capable = sim.cfg.system.is_fog_capable();
     let (parts, mut bus) = sim.split();
     let slot_len = parts.cfg.slot_len;
+    let node = &parts.cfg.node;
 
     if fog_capable {
-        for i in 0..parts.nodes.len() {
+        // Keep a transmit reserve so computing never starves shipping.
+        let reserve = node.radio.session_cost(parts.rf)
+            + node
+                .radio
+                .packet_cost(parts.rf, node.package.processed_bytes);
+        // Node `i` implements position `i / multiplex`: repeat each
+        // position's capability row over its clones.
+        let multiplex = parts.cfg.multiplex as usize;
+        let node_caps = parts
+            .caps
+            .iter()
+            .flat_map(|caps| std::iter::repeat_n(caps, multiplex));
+        for (i, caps) in node_caps.enumerate() {
             if parts.nodes.fifo_depth[i] == 0 {
                 continue;
             }
@@ -51,16 +64,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             // The tier capability scales execution speed (gateways and
             // cloud nodes run faster silicon); sensors are 1.0, so the
             // chain goldens see an exact ×1.0 multiply.
-            let (epi, throughput) = (
-                lvl.energy_per_inst,
-                parts.spendthrift.throughput(effective) * view.caps.compute_rate,
-            );
-            // Keep a transmit reserve so computing never starves shipping.
-            let reserve = view.cfg.radio.session_cost(parts.rf)
-                + view
-                    .cfg
-                    .radio
-                    .packet_cost(parts.rf, view.cfg.package.processed_bytes);
+            let (epi, throughput) = (lvl.energy_per_inst, lvl.throughput() * caps.compute_rate);
             let mut time_left = (throughput * slot_len.as_secs_f64()) as u64;
             while time_left > 0 {
                 let Some(pkg) = view.pending.first_mut() else {
@@ -71,8 +75,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                         .saturating_sub(reserve)
                         .as_nanojoules()
                         / epi.as_nanojoules();
-                let run = pkg
-                    .fog_remaining
+                let run = u64::from(pkg.fog_remaining)
                     .min(time_left)
                     .min(energy_afford.max(0.0) as u64);
                 if run == 0 {
@@ -94,7 +97,8 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                     instructions: run,
                     energy: cost,
                 });
-                pkg.fog_remaining -= run;
+                // `run` is at most `fog_remaining`, so it fits a `u32`.
+                pkg.fog_remaining -= run as u32;
                 time_left -= run;
                 if pkg.fog_remaining == 0 {
                     pkg.fog_done = true;
@@ -113,12 +117,13 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // the depth column skips the whole row.
     let stale_after = 20;
     let slot = ctx.slot;
+    // Fits: `Simulator::new` bounds it by `u32::MAX`.
+    let fog_len = node.package.fog_instructions as u32;
     for i in 0..parts.nodes.len() {
         if parts.nodes.fifo_depth[i] == 0 {
             continue;
         }
         let view = parts.nodes.view(i);
-        let fog_len = view.cfg.package.fog_instructions;
         // Packages with execution progress are never shed — killing
         // a half-finished head would waste the energy already sunk.
         // Partition through the package scratch (retain keeps order,
@@ -126,8 +131,8 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         let stale = &mut ctx.pkg_scratch;
         stale.clear();
         view.pending.retain(|p| {
-            let is_stale =
-                p.fog_remaining == fog_len && slot.saturating_sub(p.created) > stale_after;
+            let is_stale = p.fog_remaining == fog_len
+                && slot.saturating_sub(u64::from(p.created)) > stale_after;
             if is_stale {
                 stale.push(*p);
             }

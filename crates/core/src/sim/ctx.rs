@@ -11,63 +11,46 @@
 //! [`begin_slot`](super::columns::NodeColumns::begin_slot) alongside
 //! this context. Both clear and refill in place, so after the first
 //! slot the steady-state loop performs no heap allocation here.
+//!
+//! It also defines [`Package`], the 16-byte entry of every node's
+//! queues, and the queue bounds ([`MAX_PENDING`], [`QUEUE_RESERVE`]).
 
 use super::columns::NodeColumns;
 use super::ledger::EnergyLedger;
 use crate::balance::{ChainBalanceInput, OffloadDecision};
-use crate::node::{NodeCapabilities, NodeConfig};
-use neofog_energy::{Rtc, SuperCap};
-use neofog_net::slots::SlotSchedule;
-use neofog_types::SimRng;
 use serde::{Deserialize, Serialize};
 
 /// Maximum fog backlog a node admits (packages); the NV buffer sheds
 /// newer samples beyond this.
 pub(crate) const MAX_PENDING: usize = 8;
 
-/// Initial capacity for the per-node package queues. `pending` is
-/// hard-capped at [`MAX_PENDING`]; the outbox
-/// backlog tracks it closely (admission control throttles inflow to
-/// one capture per wake plus what fog processing releases), so 2× is
-/// enough that steady-state slots never regrow the queues.
+/// Initial capacity for the per-node package queues, reserved by
+/// `NodeColumns::new`. `pending` is hard-capped at [`MAX_PENDING`]; the
+/// outbox backlog tracks it closely (admission control throttles
+/// inflow to one capture per wake plus what fog processing releases),
+/// so 2× is enough that steady-state slots never regrow the queues.
+/// At 16 bytes per [`Package`] each queue buffer is 256 bytes.
 pub(crate) const QUEUE_RESERVE: usize = 2 * MAX_PENDING;
 
 /// One captured data package travelling through the system.
+///
+/// Sixteen bytes: `Simulator::new` rejects configurations whose node
+/// count (`positions × multiplex`), slot count or per-package fog
+/// instructions exceed `u32::MAX`, so every field fits a `u32`. Events,
+/// balancer tasks and the state digest widen them back to `u64`/`usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct Package {
     /// Index of the capturing physical node.
-    pub(crate) origin: usize,
+    pub(crate) origin: u32,
     /// Slot of capture.
-    pub(crate) created: u64,
+    pub(crate) created: u32,
     /// Remaining fog instructions (0 = processed).
-    pub(crate) fog_remaining: u64,
+    pub(crate) fog_remaining: u32,
     /// Whether the fog task completed.
     pub(crate) fog_done: bool,
 }
 
-/// One physical node's state as a row: the construction-time shape,
-/// split into the columnar layout by
-/// [`NodeColumns::scatter`](super::columns::NodeColumns::scatter)
-/// before the first slot runs (and reassembled by `gather` in tests —
-/// the round-trip is lossless).
-#[cfg_attr(test, derive(Debug, PartialEq))]
-pub(crate) struct NodeSim {
-    pub(crate) cfg: NodeConfig,
-    pub(crate) cap: SuperCap,
-    pub(crate) rtc: Rtc,
-    pub(crate) schedule: SlotSchedule,
-    /// Logical chain position this node implements.
-    pub(crate) position: usize,
-    /// Route-plan hop count from this node's position to the sink.
-    pub(crate) hops_to_sink: u32,
-    /// Tier-derived radio/compute capability row.
-    pub(crate) caps: NodeCapabilities,
-    /// Packages awaiting fog processing (fog systems only).
-    pub(crate) pending: Vec<Package>,
-    /// Packages ready for transmission.
-    pub(crate) outbox: Vec<Package>,
-    pub(crate) rng: SimRng,
-}
+const _: () = assert!(std::mem::size_of::<Package>() == 16);
 
 /// The non-columnar per-slot state, with allocations that last the
 /// whole run (see the module docs).

@@ -11,10 +11,9 @@
 //!
 //! The sweep zips exactly the columns it writes (capacitor, RTC,
 //! direct pool, income power) with a stride through the node-major
-//! income table (this slot's value of each node) and the cold rows it
-//! reads (config); the budget efficiencies are per-run scalars set
-//! when the columns were scattered, so nothing is stored per node
-//! here.
+//! income table (this slot's value of each node). The harvester and
+//! direct-channel efficiencies come from the run's `NodeConfig`, so
+//! the sweep never touches a cold row.
 
 use super::columns::NodeColumns;
 use super::ctx::SlotCtx;
@@ -25,6 +24,7 @@ use neofog_types::{Energy, Power};
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let (parts, mut bus) = sim.split();
     let slot_len = parts.cfg.slot_len;
+    let harvester_efficiency = parts.cfg.node.harvester_efficiency;
     let fe = parts.cfg.node.front_end;
     let has_direct = fe.has_direct_channel();
     let window = parts.cfg.window() as usize;
@@ -34,13 +34,10 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         direct_left,
         income_power,
         income: table,
-        cold,
         ..
     } = &mut *parts.nodes;
     let ambients = table.iter().skip(ctx.slot as usize).step_by(window);
-    for (i, ((((((cold, ambient), cap), rtc), direct_left), income_power), ledger)) in cold
-        .iter()
-        .zip(ambients)
+    for (i, (((((ambient, cap), rtc), direct_left), income_power), ledger)) in ambients
         .zip(cap.iter_mut())
         .zip(rtc.iter_mut())
         .zip(direct_left.iter_mut())
@@ -48,7 +45,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         .zip(ctx.ledgers.iter_mut())
         .enumerate()
     {
-        let mut income = *ambient * cold.cfg.harvester_efficiency;
+        let mut income = *ambient * harvester_efficiency;
         ledger.credit_harvest(income);
         *income_power =
             Power::from_milliwatts(income.as_nanojoules() / slot_len.as_micros() as f64);

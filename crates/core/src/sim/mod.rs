@@ -78,13 +78,12 @@ use crate::balance::{
 use crate::metrics::NetworkMetrics;
 use crate::node::{NodeCapabilities, NodeConfig, SystemKind, TierCapabilities};
 use columns::NodeColumns;
-use ctx::{NodeSim, SlotCtx};
-use neofog_energy::{Rtc, Scenario, SuperCap, TraceGenerator};
-use neofog_net::slots::SlotSchedule;
+use ctx::SlotCtx;
+use neofog_energy::{Scenario, TraceGenerator};
 use neofog_net::{RoutePlan, TopologySpec};
 use neofog_nvp::SpendthriftPolicy;
 use neofog_rf::{LossModel, RfTimings};
-use neofog_types::{Duration, Energy, NeoFogError, Power, Result, SimRng};
+use neofog_types::{Duration, Energy, NeoFogError, Result, SimRng};
 use observe::EventBus;
 use serde::{Deserialize, Serialize};
 
@@ -275,9 +274,9 @@ impl SimResult {
 pub struct Simulator {
     cfg: SimConfig,
     /// Per-node state, columnar for the hot fields (see [`columns`]).
+    /// Position `p`'s clones are nodes `p·m .. (p+1)·m`, `m` being
+    /// `cfg.multiplex`.
     nodes: NodeColumns,
-    /// Physical node indices per logical position.
-    positions: Vec<Vec<usize>>,
     /// Compiled topology: next-hop table, hop counts, sweep order and
     /// CSR adjacency — the slot loop never does graph search.
     route: RoutePlan,
@@ -308,7 +307,6 @@ pub struct Simulator {
 pub(crate) struct SimParts<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) nodes: &'a mut NodeColumns,
-    pub(crate) positions: &'a [Vec<usize>],
     pub(crate) route: &'a RoutePlan,
     pub(crate) caps: &'a [NodeCapabilities],
     pub(crate) balancer: &'a mut Box<dyn LoadBalancer>,
@@ -324,8 +322,11 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`NeoFogError::InvalidConfig`] when the slot length or
-    /// the trace interval is zero, when the balancer rejects the slot
-    /// length (see [`BalancerKind::build`]) or when `events_path`
+    /// the trace interval is zero; when the physical node count
+    /// (`positions × multiplex`), `slots` or
+    /// `node.package.fog_instructions` exceeds `u32::MAX` (a queued
+    /// package stores each in a `u32`); when the balancer rejects the
+    /// slot length (see [`BalancerKind::build`]) or when `events_path`
     /// cannot be created.
     pub fn new(cfg: SimConfig) -> Result<Self> {
         if cfg.slot_len.is_zero() || cfg.trace_dt.is_zero() {
@@ -335,7 +336,22 @@ impl Simulator {
                 cfg.trace_dt.as_micros()
             )));
         }
-        let physical = cfg.positions * cfg.multiplex as usize;
+        // A queued package stores a node index, a slot and an
+        // instruction count in `u32`s.
+        let fits = |v: u64| v <= u64::from(u32::MAX);
+        let physical = cfg
+            .positions
+            .checked_mul(cfg.multiplex as usize)
+            .filter(|&n| fits(n as u64));
+        let fog_instructions = cfg.node.package.fog_instructions;
+        let (Some(physical), true, true) = (physical, fits(cfg.slots), fits(fog_instructions))
+        else {
+            return Err(NeoFogError::invalid_config(format!(
+                "positions × multiplex ({} × {}), slots ({}) and fog instructions per \
+                 package ({fog_instructions}) must each fit in a u32",
+                cfg.positions, cfg.multiplex, cfg.slots
+            )));
+        };
         let gen = TraceGenerator::new(cfg.scenario, cfg.seed);
         let total_time = Duration::from_micros(cfg.slot_len.as_micros() * cfg.slots);
         let trace_dt = cfg.trace_dt;
@@ -357,41 +373,10 @@ impl Simulator {
         let caps: Vec<NodeCapabilities> = (0..cfg.positions)
             .map(|p| cfg.capabilities.for_tier(route.tier(p)))
             .collect();
-        let mut rng = SimRng::seed_from(cfg.seed ^ 0x5EED);
-        let mut nodes = Vec::with_capacity(physical);
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); cfg.positions];
-        for p in 0..cfg.positions {
-            for k in 0..cfg.multiplex {
-                let idx = nodes.len();
-                positions[p].push(idx);
-                let schedule = if cfg.multiplex == 1 {
-                    SlotSchedule::every_slot()
-                } else {
-                    SlotSchedule::new(cfg.multiplex, k)
-                };
-                let cap = SuperCap::new(cfg.node.cap_capacity)
-                    .with_charge_efficiency(0.65)
-                    .with_leak(cfg.node.cap_leak)
-                    .with_initial(cfg.node.cap_capacity * cfg.node.initial_charge);
-                let rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0));
-                nodes.push(NodeSim {
-                    cfg: cfg.node,
-                    cap,
-                    rtc,
-                    schedule,
-                    position: p,
-                    hops_to_sink: route.hops(p),
-                    caps: caps[p],
-                    pending: Vec::with_capacity(ctx::QUEUE_RESERVE),
-                    outbox: Vec::with_capacity(ctx::QUEUE_RESERVE),
-                    rng: rng.fork(idx as u64),
-                });
-            }
-        }
-        // Scatter the construction rows into the columnar layout the
-        // slot kernel sweeps (hot fields become dense arrays beside the
-        // income table; queues and RNG streams stay row-oriented).
-        let nodes = NodeColumns::scatter(nodes, income, cfg.node.front_end);
+        // Fill the columns the slot kernel sweeps in place: hot fields
+        // become dense arrays beside the income table, queues and RNG
+        // streams stay row-oriented.
+        let nodes = NodeColumns::new(&cfg, &route, income);
         let loss = LossModel::paper_default().with_weather_loss(cfg.weather_loss);
         let balancer = cfg.balancer.build(cfg.slot_len)?;
         let metrics = MetricsObserver::new(physical);
@@ -402,7 +387,6 @@ impl Simulator {
         }
         Ok(Simulator {
             nodes,
-            positions,
             route,
             caps,
             balancer,
@@ -463,9 +447,9 @@ impl Simulator {
             for queue in [&cold.pending, &cold.outbox] {
                 mix(queue.len() as u64);
                 for pkg in queue {
-                    mix(pkg.origin as u64);
-                    mix(pkg.created);
-                    mix(pkg.fog_remaining);
+                    mix(u64::from(pkg.origin));
+                    mix(u64::from(pkg.created));
+                    mix(u64::from(pkg.fog_remaining));
                     mix(u64::from(pkg.fog_done));
                 }
             }
@@ -547,7 +531,6 @@ impl Simulator {
         let Simulator {
             cfg,
             nodes,
-            positions,
             route,
             caps,
             balancer,
@@ -565,7 +548,6 @@ impl Simulator {
             SimParts {
                 cfg,
                 nodes,
-                positions,
                 route,
                 caps,
                 balancer,
@@ -716,6 +698,44 @@ mod tests {
             .nodes
             .iter()
             .all(|n| n.harvested == Energy::ZERO));
+    }
+
+    #[test]
+    fn node_counts_beyond_u32_are_rejected() {
+        for (positions, multiplex) in [(2, u32::MAX), (usize::MAX, 2)] {
+            let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+            cfg.positions = positions;
+            cfg.multiplex = multiplex;
+            assert!(
+                matches!(Simulator::new(cfg), Err(NeoFogError::InvalidConfig { .. })),
+                "{positions} × {multiplex} nodes accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn slot_counts_beyond_u32_are_rejected() {
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.slots = u64::from(u32::MAX) + 1;
+        assert!(matches!(
+            Simulator::new(cfg),
+            Err(NeoFogError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn fog_instructions_beyond_u32_are_rejected() {
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.node.package.fog_instructions = u64::from(u32::MAX) + 1;
+        assert!(matches!(
+            Simulator::new(cfg),
+            Err(NeoFogError::InvalidConfig { .. })
+        ));
+        // The bound itself still fits a package.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.node.package.fog_instructions = u64::from(u32::MAX);
+        let result = build(cfg).run();
+        assert!(result.metrics.total_captured() > 0);
     }
 
     #[test]

@@ -27,8 +27,9 @@ use neofog_types::Duration;
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let (parts, mut bus) = sim.split();
     let radio = parts.cfg.node.radio;
+    let package = parts.cfg.node.package;
     let session = radio.session_cost(parts.rf);
-    let n_pos = parts.positions.len();
+    let n_pos = parts.cfg.positions;
     // Per-position relay marks this slot, folded into duty below
     // (scratch vector: capacity persists across slots).
     ctx.forward_bytes.resize(n_pos, 0);
@@ -58,9 +59,9 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         // anything is sent would waste the whole session.
         let first = view.outbox[0];
         let first_bytes = if first.fog_done {
-            view.cfg.package.processed_bytes
+            package.processed_bytes
         } else {
-            view.cfg.package.raw_bytes
+            package.raw_bytes
         };
         let first_cost = radio.packet_cost(parts.rf, first_bytes);
         if view.available() < session + first_cost {
@@ -77,9 +78,9 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         let hops = view.hops_to_sink; // route-plan hops to the sink edge
         while let Some(pkg) = view.outbox.first().copied() {
             let bytes = if pkg.fog_done {
-                view.cfg.package.processed_bytes
+                package.processed_bytes
             } else {
-                view.cfg.package.raw_bytes
+                package.raw_bytes
             };
             let cost = radio.packet_cost(parts.rf, bytes);
             if !view.spend(&mut ctx.ledgers[i], cost) {
@@ -101,7 +102,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             // route sweep below credits them to every position on the
             // path to the sink.
             ctx.forward_bytes[position] += u64::from(bytes);
-            let origin = pkg.origin;
+            let origin = pkg.origin as usize;
             if delivered {
                 bus.emit(&SimEvent::PackageDelivered {
                     origin,
@@ -132,15 +133,12 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
 
     // Charge forwarding airtime to awake representatives of the
     // relay positions (RX + TX per byte).
+    let multiplex = parts.cfg.multiplex as usize;
     for (pos, &bytes) in ctx.forward_bytes.iter().enumerate() {
         if bytes == 0 {
             continue;
         }
-        let Some(rep) = parts.positions[pos]
-            .iter()
-            .copied()
-            .find(|&i| parts.nodes.awake[i])
-        else {
+        let Some(rep) = parts.nodes.awake_clone(pos, multiplex) else {
             continue;
         };
         let per_byte =

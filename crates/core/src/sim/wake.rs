@@ -22,6 +22,9 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let system = parts.cfg.system;
     let sampling_success = parts.cfg.sampling_success;
     let fog_capable = system.is_fog_capable();
+    // Fits: `Simulator::new` bounds it, the node count and the slot
+    // count by `u32::MAX`.
+    let fog_instructions = parts.cfg.node.package.fog_instructions as u32;
     let direct_eff = parts.nodes.direct_eff;
     let discharge_eff = parts.nodes.discharge_eff;
     let NodeColumns {
@@ -67,9 +70,9 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             }
             bus.emit(&SimEvent::PackageCaptured { node: i });
             let pkg = Package {
-                origin: i,
-                created: ctx.slot,
-                fog_remaining: cold.cfg.package.fog_instructions,
+                origin: i as u32,
+                created: ctx.slot as u32,
+                fog_remaining: fog_instructions,
                 fog_done: false,
             };
             if fog_capable {

@@ -22,6 +22,21 @@ pub struct FrequencyLevel {
     pub energy_per_inst: Energy,
 }
 
+impl FrequencyLevel {
+    /// Instructions per second at this level: 1 MHz / 12 cycles
+    /// ≈ 83 333 inst/s, scaled by the clock factor.
+    #[must_use]
+    pub fn throughput(&self) -> f64 {
+        (1_000_000.0 / 12.0) * self.factor
+    }
+
+    /// Instructions per nanojoule at this level.
+    #[must_use]
+    pub fn efficiency(&self) -> f64 {
+        1.0 / self.energy_per_inst.as_nanojoules()
+    }
+}
+
 /// A table of operating points plus the income-matching rule.
 ///
 /// # Examples
@@ -102,9 +117,7 @@ impl SpendthriftPolicy {
     /// Instructions per second at the chosen level for this income.
     #[must_use]
     pub fn throughput(&self, income: Power) -> f64 {
-        let lvl = self.choose(income);
-        // Base: 1 MHz / 12 cycles ≈ 83 333 inst/s, scaled by factor.
-        (1_000_000.0 / 12.0) * lvl.factor
+        self.choose(income).throughput()
     }
 
     /// The *computational efficiency* the paper's load balancer shares
@@ -112,8 +125,7 @@ impl SpendthriftPolicy {
     /// income selects.
     #[must_use]
     pub fn efficiency(&self, income: Power) -> f64 {
-        let lvl = self.choose(income);
-        1.0 / lvl.energy_per_inst.as_nanojoules()
+        self.choose(income).efficiency()
     }
 }
 
