@@ -43,7 +43,7 @@ fn completable(chain: &ChainBalanceInput) -> u64 {
         .sum()
 }
 
-fn show(label: &str, balancer: &dyn LoadBalancer) {
+fn show(label: &str, balancer: &mut dyn LoadBalancer) {
     let mut chain = figure6_chain();
     let before = completable(&chain);
     let report = balancer.balance(&mut chain, &mut SimRng::seed_from(6));
@@ -94,11 +94,14 @@ fn main() {
         "distributed balance moves work to energy-rich neighbours; tree \
          balance loses whole regions when a coordinator is starved",
     );
-    show("(b) no load balance", &NoBalancer);
-    show("(c) baseline up-down tree balance", &TreeBalancer::new());
+    show("(b) no load balance", &mut NoBalancer);
+    show(
+        "(c) baseline up-down tree balance",
+        &mut TreeBalancer::new(),
+    );
     show(
         "(d) proposed distributed balance",
-        &DistributedBalancer::new(60),
+        &mut DistributedBalancer::new(60),
     );
 
     // The Figure 6(c) failure: starve the root coordinator (node 5 of

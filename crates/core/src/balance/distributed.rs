@@ -11,8 +11,8 @@
 //! balancing happens in its region this period — "this failure affects
 //! performance, but not functionality".
 
-use super::dp::{partition_tasks, Side};
-use super::{BalanceReport, ChainBalanceInput, LoadBalancer};
+use super::dp::{partition_tasks_into, Assignment, Side};
+use super::{BalanceReport, ChainBalanceInput, FogTask, LoadBalancer};
 use neofog_types::{Energy, SimRng};
 
 /// Time quantum of the DP tables, in microseconds (0.1 s).
@@ -21,13 +21,32 @@ const TIME_UNIT_US: u64 = 100_000;
 /// Outward-propagation passes (each pass is one "call" round).
 const PASSES: usize = 3;
 
+/// Working memory of one node's exchange, kept across calls. Sized to
+/// the chain's largest queue: a node's surplus never holds more tasks
+/// than its queue has room for, and Algorithm 1's table never more
+/// than `(MAXTIME + 1)` cells per task plus one column.
+#[derive(Debug, Clone)]
+struct ExchangeScratch {
+    /// The tasks peeled off the overloaded node.
+    surplus: Vec<FogTask>,
+    /// Time of each surplus task on the left neighbour.
+    a: Vec<u64>,
+    /// Time of each surplus task on the right neighbour.
+    b: Vec<u64>,
+    /// Algorithm 1's table.
+    table: Vec<u64>,
+    /// Algorithm 1's output.
+    assignment: Assignment,
+}
+
 /// The NEOFog distributed balancer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct DistributedBalancer {
     /// The load-balance call interval (`MAXTIME`), in time units.
     max_time_units: u64,
     /// Energy a node must hold to participate in the exchange.
     exchange_cost: Energy,
+    scratch: ExchangeScratch,
 }
 
 impl DistributedBalancer {
@@ -38,6 +57,17 @@ impl DistributedBalancer {
         DistributedBalancer {
             max_time_units: call_interval_secs * 1_000_000 / TIME_UNIT_US,
             exchange_cost: Energy::from_microjoules(30.0),
+            scratch: ExchangeScratch {
+                surplus: Vec::new(),
+                a: Vec::new(),
+                b: Vec::new(),
+                table: Vec::new(),
+                assignment: Assignment {
+                    sides: Vec::new(),
+                    left_time: 0,
+                    right_time: 0,
+                },
+            },
         }
     }
 
@@ -53,8 +83,48 @@ impl DistributedBalancer {
         ((secs * 1_000_000.0) / TIME_UNIT_US as f64).ceil() as u64
     }
 
-    fn balance_node(&self, chain: &mut ChainBalanceInput, idx: usize, report: &mut BalanceReport) {
-        let node = &chain.nodes[idx];
+    /// Sizes the scratch for `chain`'s largest queue, so it grows on
+    /// the first call and then only when one of the chain's queues
+    /// does.
+    fn size_for(&mut self, chain: &ChainBalanceInput) {
+        let room = chain
+            .nodes
+            .iter()
+            .map(|n| n.tasks.capacity())
+            .max()
+            .unwrap_or(0);
+        let cells = usize::try_from(self.max_time_units)
+            .unwrap_or(usize::MAX)
+            .saturating_add(1)
+            .saturating_mul(room + 1);
+        let ExchangeScratch {
+            surplus,
+            a,
+            b,
+            table,
+            assignment,
+        } = &mut self.scratch;
+        surplus.clear();
+        surplus.reserve(room);
+        a.clear();
+        a.reserve(room);
+        b.clear();
+        b.reserve(room);
+        assignment.sides.clear();
+        assignment.sides.reserve(room);
+        table.clear();
+        table.reserve(cells);
+    }
+
+    fn balance_node(
+        &mut self,
+        chain: &mut ChainBalanceInput,
+        idx: usize,
+        report: &mut BalanceReport,
+    ) {
+        let Some(node) = chain.nodes.get(idx) else {
+            return;
+        };
         if !node.alive {
             return;
         }
@@ -89,45 +159,50 @@ impl DistributedBalancer {
 
         // Neighbour capabilities (alive, with spare capacity beyond
         // their own queues).
+        let exchange_cost = self.exchange_cost;
         let side_state = |i: Option<usize>| -> (f64, u64) {
-            match i {
-                Some(j) => {
-                    let n = &chain.nodes[j];
-                    if n.alive && n.spare_energy >= self.exchange_cost {
-                        let cap = n
-                            .affordable_instructions()
-                            .saturating_sub(n.queued_instructions());
-                        (n.throughput, cap)
-                    } else {
-                        (0.0, 0)
-                    }
+            match i.and_then(|j| chain.nodes.get(j)) {
+                Some(n) if n.alive && n.spare_energy >= exchange_cost => {
+                    let cap = n
+                        .affordable_instructions()
+                        .saturating_sub(n.queued_instructions());
+                    (n.throughput, cap)
                 }
-                None => (0.0, 0),
+                _ => (0.0, 0),
             }
         };
         let left_idx = idx.checked_sub(1);
-        let right_idx = if idx + 1 < chain.nodes.len() {
-            Some(idx + 1)
-        } else {
-            None
-        };
+        let right_idx = Some(idx + 1).filter(|&j| j < chain.nodes.len());
         let (lt, lcap) = side_state(left_idx);
         let (rt, rcap) = side_state(right_idx);
         if lcap == 0 && rcap == 0 {
             // Nowhere to go; tasks stay queued.
             return;
         }
-        let surplus = chain.nodes[idx].tasks.split_off(keep);
-
-        let a: Vec<u64> = surplus
-            .iter()
-            .map(|t| Self::time_units(t.instructions, lt, lcap))
-            .collect();
-        let b: Vec<u64> = surplus
-            .iter()
-            .map(|t| Self::time_units(t.instructions, rt, rcap))
-            .collect();
-        let assignment = partition_tasks(&a, &b, self.max_time_units);
+        let ExchangeScratch {
+            surplus,
+            a,
+            b,
+            table,
+            assignment,
+        } = &mut self.scratch;
+        surplus.clear();
+        a.clear();
+        b.clear();
+        if let Some(node) = chain.nodes.get_mut(idx) {
+            surplus.extend(node.tasks.drain(keep..));
+        }
+        a.extend(
+            surplus
+                .iter()
+                .map(|t| Self::time_units(t.instructions, lt, lcap)),
+        );
+        b.extend(
+            surplus
+                .iter()
+                .map(|t| Self::time_units(t.instructions, rt, rcap)),
+        );
+        partition_tasks_into(a, b, self.max_time_units, table, assignment);
 
         // Per the paper, a receiver may end up over-assigned ("the
         // assigned tasks require more energy than one node has already
@@ -135,20 +210,19 @@ impl DistributedBalancer {
         // overflow further outward. Only per-task feasibility is
         // enforced here (via the time arrays).
         report.transfer_hops += 2; // the state exchange itself
-        for (task, side) in surplus.into_iter().zip(assignment.sides) {
+        for (&task, side) in surplus.iter().zip(&assignment.sides) {
             let dest = match side {
                 Side::Left if lcap >= task.instructions => left_idx,
                 Side::Right if rcap >= task.instructions => right_idx,
                 _ => None,
             };
-            match dest {
-                Some(j) => {
-                    chain.nodes[j].tasks.push(task);
-                    report.tasks_moved += 1;
-                    report.instructions_moved += task.instructions;
-                    report.transfer_hops += 1;
-                }
-                None => chain.nodes[idx].tasks.push(task),
+            if dest.is_some() {
+                report.tasks_moved += 1;
+                report.instructions_moved += task.instructions;
+                report.transfer_hops += 1;
+            }
+            if let Some(n) = chain.nodes.get_mut(dest.unwrap_or(idx)) {
+                n.tasks.push(task);
             }
         }
     }
@@ -159,8 +233,9 @@ impl LoadBalancer for DistributedBalancer {
         "distributed"
     }
 
-    fn balance(&self, chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
+    fn balance(&mut self, chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
         let mut report = BalanceReport::default();
+        self.size_for(chain);
         for _ in 0..PASSES {
             let moved_before = report.tasks_moved;
             for idx in 0..chain.nodes.len() {
@@ -236,6 +311,17 @@ mod tests {
         assert_eq!(report.tasks_moved, 0);
         assert!(report.interrupted_regions > 0);
         assert_eq!(input.nodes[1].tasks.len(), 3, "tasks stay put");
+    }
+
+    #[test]
+    fn oversized_surplus_stays_home() {
+        // Nine tasks too large for either neighbour's spare capacity:
+        // Algorithm 1 sends them all "right", where they do not fit,
+        // so they stay queued (and its time sums do not overflow).
+        let mut input = chain(&[5.0, 0.05, 5.0], &[0, 9, 0], 100_000_000);
+        let report = DistributedBalancer::new(60).balance(&mut input, &mut rng());
+        assert_eq!(report.tasks_moved, 0);
+        assert_eq!(input.nodes[1].tasks.len(), 9);
     }
 
     #[test]

@@ -67,14 +67,37 @@ const INF: u64 = u64::MAX / 4;
 /// Panics if `a` and `b` have different lengths.
 #[must_use]
 pub fn partition_tasks(a: &[u64], b: &[u64], max_time: u64) -> Assignment {
+    let mut out = Assignment {
+        sides: Vec::new(),
+        left_time: 0,
+        right_time: 0,
+    };
+    partition_tasks_into(a, b, max_time, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`partition_tasks`] in caller-owned memory: `table` holds the DP
+/// table and `out` receives the assignment. Both are overwritten and
+/// keep their capacity, so a caller that sized them for its largest
+/// call never allocates here.
+///
+/// # Panics
+///
+/// Panics if `a` and `b` have different lengths.
+pub(crate) fn partition_tasks_into(
+    a: &[u64],
+    b: &[u64],
+    max_time: u64,
+    table: &mut Vec<u64>,
+    out: &mut Assignment,
+) {
     assert_eq!(a.len(), b.len(), "per-side time arrays must pair up");
     let n = a.len();
+    out.sides.clear();
+    out.left_time = 0;
+    out.right_time = 0;
     if n == 0 {
-        return Assignment {
-            sides: Vec::new(),
-            left_time: 0,
-            right_time: 0,
-        };
+        return;
     }
     // The useful left budget never exceeds sum(a); cap by MAXTIME.
     // (Saturating: infeasible sides are encoded as huge times.)
@@ -82,34 +105,35 @@ pub fn partition_tasks(a: &[u64], b: &[u64], max_time: u64) -> Assignment {
     let cap = sum_a.min(max_time) as usize;
 
     // OPT(i, k) = least right time placing tasks 1..=k with left ≤ i,
-    // stored flat at p[k * width + i]: one allocation per call, and
-    // the build step reads column k − 1 and writes column k as dense
-    // runs. Column 0 is the base case OPT(i, 0) = 0; every later
-    // column is written in full before it is read. Sizes are bounded
-    // by MAXTIME, which callers choose modestly.
+    // stored flat as column k of `width` cells: the build step reads
+    // column k − 1 and writes column k as dense runs. Column 0 is the
+    // base case OPT(i, 0) = 0; every later column is written in full
+    // before it is read. Sizes are bounded by MAXTIME, which callers
+    // choose modestly.
     let width = cap + 1;
-    let at = |i: usize, k: usize| k * width + i;
-    let mut p = vec![0u64; width * (n + 1)];
-    for k in 1..=n {
-        let (ak, bk) = (a[k - 1], b[k - 1]);
-        for i in 0..width {
+    table.clear();
+    table.resize(width * (n + 1), 0);
+    let mut columns = table.chunks_exact_mut(width);
+    let mut prev = columns.next().unwrap_or_default();
+    for (col, (&ak, &bk)) in columns.zip(a.iter().zip(b)) {
+        for (i, (cell, &stay)) in col.iter_mut().zip(prev.iter()).enumerate() {
             // Task k to the right.
-            let right = p[at(i, k - 1)].saturating_add(bk);
+            let right = stay.saturating_add(bk);
             // Task k to the left (consumes ak of the budget).
-            let left = if (i as u64) >= ak {
-                p[at(i - ak as usize, k - 1)]
-            } else {
-                INF
-            };
-            p[at(i, k)] = right.min(left);
+            let left = (i as u64)
+                .checked_sub(ak)
+                .and_then(|j| prev.get(j as usize))
+                .map_or(INF, |&opt| opt);
+            *cell = right.min(left);
         }
+        prev = col;
     }
 
     // Find the budget i minimizing the makespan max(i, OPT(i, n)).
-    // (The paper's "find the minimum time" step.)
+    // (The paper's "find the minimum time" step.) `prev` is column n.
     let mut best_i = 0usize;
     let mut best_makespan = INF;
-    for (i, &right) in p[at(0, n)..].iter().enumerate() {
+    for (i, &right) in prev.iter().enumerate() {
         let m = (i as u64).max(right);
         if m < best_makespan {
             best_makespan = m;
@@ -118,36 +142,29 @@ pub fn partition_tasks(a: &[u64], b: &[u64], max_time: u64) -> Assignment {
     }
 
     // Backtrack the assignment (the paper's "generate the assignment
-    // output" step).
-    let mut sides = vec![Side::Right; n];
+    // output" step): task k reads column k − 1.
+    out.sides.resize(n, Side::Right);
     let mut i = best_i;
-    let mut left_time = 0u64;
-    let mut right_time = 0u64;
-    for k in (1..=n).rev() {
-        let (ak, bk) = (a[k - 1], b[k - 1]);
-        let via_right = p[at(i, k - 1)].saturating_add(bk);
-        let via_left = if (i as u64) >= ak {
-            p[at(i - ak as usize, k - 1)]
-        } else {
-            INF
-        };
+    let tasks = out.sides.iter_mut().zip(a.iter().zip(b));
+    for ((side, (&ak, &bk)), col) in tasks.zip(table.chunks_exact(width)).rev() {
+        let via_right = col.get(i).map_or(INF, |&opt| opt).saturating_add(bk);
+        let budget_left = (i as u64).checked_sub(ak);
+        let via_left = budget_left
+            .and_then(|j| col.get(j as usize))
+            .map_or(INF, |&opt| opt);
         // The budget guard must be explicit: when BOTH sides are
         // infeasible (INF times), via_left can still compare smaller
         // than a saturated via_right.
-        if (i as u64) >= ak && via_left < via_right {
-            sides[k - 1] = Side::Left;
-            left_time += ak;
-            i -= ak as usize;
-        } else {
-            sides[k - 1] = Side::Right;
-            right_time += bk;
+        match budget_left {
+            Some(j) if via_left < via_right => {
+                *side = Side::Left;
+                out.left_time += ak;
+                i = j as usize;
+            }
+            // Saturating: a few tasks no side can take (huge times)
+            // would overflow the sum.
+            _ => out.right_time = out.right_time.saturating_add(bk),
         }
-    }
-
-    Assignment {
-        sides,
-        left_time,
-        right_time,
     }
 }
 
@@ -278,6 +295,16 @@ mod tests {
         let lefts = asn.sides.iter().filter(|s| **s == Side::Left).count();
         assert_eq!(lefts, 2);
         assert_eq!(asn.makespan(), 14);
+    }
+
+    #[test]
+    fn infeasible_tasks_saturate_the_right_time() {
+        // Nine tasks neither side can take: the right-time sum
+        // saturates instead of overflowing.
+        let huge = [u64::MAX / 8; 9];
+        let asn = partition_tasks(&huge, &huge, 120);
+        assert!(asn.sides.iter().all(|s| *s == Side::Right));
+        assert_eq!(asn.right_time, u64::MAX);
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub trait LoadBalancer: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Redistributes tasks in place and reports what moved.
-    fn balance(&self, chain: &mut ChainBalanceInput, rng: &mut SimRng) -> BalanceReport;
+    fn balance(&mut self, chain: &mut ChainBalanceInput, rng: &mut SimRng) -> BalanceReport;
 
     /// Topology-aware entry point: redistributes tasks with the route
     /// plan and per-position capabilities in view, appending any
@@ -155,7 +155,7 @@ pub trait LoadBalancer: Send + Sync {
     /// [`OffloadBalancer`] overrides it with the front-end-priced
     /// compute-here / ship-to-neighbour / ship-to-cloud choice.
     fn balance_routed(
-        &self,
+        &mut self,
         chain: &mut ChainBalanceInput,
         route: &RouteContext<'_>,
         rng: &mut SimRng,

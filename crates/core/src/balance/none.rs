@@ -13,7 +13,7 @@ impl LoadBalancer for NoBalancer {
         "none"
     }
 
-    fn balance(&self, _chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
+    fn balance(&mut self, _chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
         BalanceReport::default()
     }
 }

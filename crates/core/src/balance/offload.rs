@@ -104,12 +104,12 @@ impl LoadBalancer for OffloadBalancer {
     /// Without a route plan there is nothing to price against: the
     /// plain chain entry point is a no-op. The simulator always calls
     /// [`LoadBalancer::balance_routed`].
-    fn balance(&self, _chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
+    fn balance(&mut self, _chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
         BalanceReport::default()
     }
 
     fn balance_routed(
-        &self,
+        &mut self,
         chain: &mut ChainBalanceInput,
         route: &RouteContext<'_>,
         _rng: &mut SimRng,

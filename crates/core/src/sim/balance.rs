@@ -58,7 +58,16 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // Rewrite every position's state in full; only the task vectors'
     // capacity carries over from the previous slot.
     chain.nodes.resize_with(reps.len(), || vacant(Vec::new()));
+    // Room for every representative's whole queue, so the copy grows
+    // only when a queue does.
+    let room: usize = reps
+        .iter()
+        .flatten()
+        .filter_map(|&i| cols.cold.get(i))
+        .map(|c| c.pending.capacity())
+        .sum();
     rep_packages.clear();
+    rep_packages.reserve(room);
     let radio = parts.cfg.node.radio;
     let tx_reserve = radio.session_cost(parts.rf)
         + radio.packet_cost(parts.rf, parts.cfg.node.package.processed_bytes) * 2.0;
@@ -70,6 +79,9 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             continue;
         };
         let pending = &cols.cold[i].pending;
+        // Likewise the position's task list: room for the queue it
+        // copies.
+        tasks.reserve(pending.capacity());
         let level = parts.spendthrift.choose(cols.income_power[i]);
         let spare =
             columns::budget_available(cols.direct_left[i], cols.discharge_eff, &cols.cap[i])

@@ -78,10 +78,9 @@ proptest! {
 
     #[test]
     fn balancers_conserve_tasks(chain in arbitrary_chain(), seed in any::<u64>()) {
-        for balancer in [
-            &DistributedBalancer::new(60) as &dyn LoadBalancer,
-            &TreeBalancer::new(),
-        ] {
+        let mut distributed = DistributedBalancer::new(60);
+        let mut tree = TreeBalancer::new();
+        for balancer in [&mut distributed as &mut dyn LoadBalancer, &mut tree] {
             let mut c = chain.clone();
             let before: u64 = c.nodes.iter().map(neofog_core::NodeBalanceState::queued_instructions).sum();
             let count_before: usize = c.nodes.iter().map(|n| n.tasks.len()).sum();

@@ -273,21 +273,6 @@ pub const FILE_ALLOWS: &[FileAllow] = &[
     },
     FileAllow {
         rule: "NF-PANIC-003",
-        path: "crates/core/src/balance/dp.rs",
-        reason: "DP table kernel; indices bounded by the table dimensions it allocates",
-    },
-    FileAllow {
-        rule: "NF-PANIC-003",
-        path: "crates/core/src/balance/distributed.rs",
-        reason: "Algorithm-1 region scan; indices bounded by chain length",
-    },
-    FileAllow {
-        rule: "NF-PANIC-003",
-        path: "crates/core/src/balance/tree.rs",
-        reason: "up-down tree passes; indices bounded by chain length",
-    },
-    FileAllow {
-        rule: "NF-PANIC-003",
         path: "crates/core/src/sim/*.rs",
         reason: "phase functions loop over per-node vectors all sized to the node count",
     },
