@@ -325,7 +325,8 @@ impl Simulator {
     /// the trace interval is zero; when the physical node count
     /// (`positions × multiplex`), `slots` or
     /// `node.package.fog_instructions` exceeds `u32::MAX` (a queued
-    /// package stores each in a `u32`); when the balancer rejects the
+    /// package stores each in a `u32`); when a fog-capable system's
+    /// packages carry no fog instructions; when the balancer rejects the
     /// slot length (see [`BalancerKind::build`]) or when `events_path`
     /// cannot be created.
     pub fn new(cfg: SimConfig) -> Result<Self> {
@@ -352,6 +353,16 @@ impl Simulator {
                 cfg.positions, cfg.multiplex, cfg.slots
             )));
         };
+        // The compute phase advances a queue's head package by at most
+        // its remaining instructions; with none to run, the head never
+        // completes and blocks every package behind it.
+        if cfg.system.is_fog_capable() && fog_instructions == 0 {
+            return Err(NeoFogError::invalid_config(format!(
+                "{:?} processes packages in fog, so each needs at least one fog \
+                 instruction (got 0)",
+                cfg.system
+            )));
+        }
         let gen = TraceGenerator::new(cfg.scenario, cfg.seed);
         let total_time = Duration::from_micros(cfg.slot_len.as_micros() * cfg.slots);
         let trace_dt = cfg.trace_dt;
@@ -736,6 +747,25 @@ mod tests {
         cfg.node.package.fog_instructions = u64::from(u32::MAX);
         let result = build(cfg).run();
         assert!(result.metrics.total_captured() > 0);
+    }
+
+    #[test]
+    fn zero_fog_instructions_are_rejected_in_fog() {
+        // A zero-instruction head package would never complete.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.node.package.fog_instructions = 0;
+        assert!(matches!(
+            Simulator::new(cfg),
+            Err(NeoFogError::InvalidConfig { .. })
+        ));
+        // One instruction is enough for packages to finish in fog.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.node.package.fog_instructions = 1;
+        assert!(build(cfg).run().metrics.fog_processed() > 0);
+        // NOS-VP never processes in fog, so the count is irrelevant.
+        let mut cfg = quick_cfg(SystemKind::NosVp);
+        cfg.node.package.fog_instructions = 0;
+        assert!(Simulator::new(cfg).is_ok());
     }
 
     #[test]
