@@ -9,18 +9,17 @@
 //!
 //! # The phase pipeline
 //!
-//! Every slot resets the simulator-owned scratch
-//! [`SlotCtx`](ctx::SlotCtx) (budgets, wake flags, conservation
-//! ledgers — cleared and refilled in place so the steady-state loop
-//! never allocates) and runs six explicit phase functions over it,
-//! in order — one module per phase:
+//! Every slot clears the wake flags and the simulator-owned scratch
+//! [`SlotCtx`](ctx::SlotCtx) (cleared and refilled in place so the
+//! steady-state loop never allocates) and runs six explicit phase
+//! functions over it, in order — one module per phase:
 //!
-//! 1. [`harvest`] — each physical node reads its income for the slot
-//!    from the table `Simulator::new` folded from its power trace,
-//!    feeds the RTC capacitor first (charging priority), then builds
-//!    its slot energy budget through its front-end: FIOS nodes get a
-//!    90 %-efficient direct pool plus the capacitor; NOS nodes only
-//!    the capacitor round-trip.
+//! 1. [`harvest`] — each physical node opens its conservation ledger,
+//!    reads its income for the slot from the table `Simulator::new`
+//!    folded from its power trace, feeds the RTC capacitor first
+//!    (charging priority), then builds its slot energy budget through
+//!    its front-end: FIOS nodes get a 90 %-efficient direct pool plus
+//!    the capacitor; NOS nodes only the capacitor round-trip.
 //! 2. [`wake`] — nodes scheduled this slot (their clone phase) wake if
 //!    they can afford the activation threshold; a scheduled node that
 //!    cannot is a *failure* (energy depletion). Awake nodes capture one
@@ -282,8 +281,11 @@ pub struct Simulator {
     route: RoutePlan,
     /// Per-position capability rows, derived from each position's tier.
     caps: Vec<NodeCapabilities>,
+    /// Per-position end-to-end delivery odds: the loss model's per-hop
+    /// success compounded over the position's route-plan hops plus the
+    /// hop into the sink, computed once at construction.
+    delivery_odds: Vec<f64>,
     balancer: Box<dyn LoadBalancer>,
-    loss: LossModel,
     rf: RfTimings,
     spendthrift: SpendthriftPolicy,
     rng: SimRng,
@@ -309,8 +311,8 @@ pub(crate) struct SimParts<'a> {
     pub(crate) nodes: &'a mut NodeColumns,
     pub(crate) route: &'a RoutePlan,
     pub(crate) caps: &'a [NodeCapabilities],
+    pub(crate) delivery_odds: &'a [f64],
     pub(crate) balancer: &'a mut Box<dyn LoadBalancer>,
-    pub(crate) loss: &'a LossModel,
     pub(crate) rf: &'a RfTimings,
     pub(crate) spendthrift: &'a SpendthriftPolicy,
     pub(crate) rng: &'a mut SimRng,
@@ -384,11 +386,16 @@ impl Simulator {
         let caps: Vec<NodeCapabilities> = (0..cfg.positions)
             .map(|p| cfg.capabilities.for_tier(route.tier(p)))
             .collect();
+        // Compound each position's per-hop delivery odds once, so the
+        // transmit sweep never raises them to a power.
+        let loss = LossModel::paper_default().with_weather_loss(cfg.weather_loss);
+        let delivery_odds = (0..cfg.positions)
+            .map(|p| loss.chain_success(route.hops(p) + 1))
+            .collect();
         // Fill the columns the slot kernel sweeps in place: hot fields
         // become dense arrays beside the income table, queues and RNG
         // streams stay row-oriented.
-        let nodes = NodeColumns::new(&cfg, &route, income);
-        let loss = LossModel::paper_default().with_weather_loss(cfg.weather_loss);
+        let nodes = NodeColumns::new(&cfg, income);
         let balancer = cfg.balancer.build(cfg.slot_len)?;
         let metrics = MetricsObserver::new(physical);
         let trace = cfg.trace_stored.then(|| StoredTraceObserver::new(physical));
@@ -400,8 +407,8 @@ impl Simulator {
             nodes,
             route,
             caps,
+            delivery_odds,
             balancer,
-            loss,
             rf: RfTimings::paper_default(),
             spendthrift: SpendthriftPolicy::paper_default(),
             rng: SimRng::seed_from(cfg.seed ^ 0xBA1A),
@@ -525,7 +532,7 @@ impl Simulator {
         // refilled in place, so capacity survives across all slots.
         let mut ctx = std::mem::take(&mut self.scratch);
         self.nodes.begin_slot();
-        ctx.reset(&self.nodes, slot);
+        ctx.reset(self.nodes.len(), slot);
         self.emit(&SimEvent::SlotBegan { slot });
         harvest::run(self, &mut ctx);
         wake::run(self, &mut ctx);
@@ -544,8 +551,8 @@ impl Simulator {
             nodes,
             route,
             caps,
+            delivery_odds,
             balancer,
-            loss,
             rf,
             spendthrift,
             rng,
@@ -561,8 +568,8 @@ impl Simulator {
                 nodes,
                 route,
                 caps,
+                delivery_odds,
                 balancer,
-                loss,
                 rf,
                 spendthrift,
                 rng,
@@ -806,6 +813,67 @@ mod tests {
         sim.attach_observer(Box::new(Sink));
         let observed = sim.run();
         assert_eq!(plain.metrics, observed.metrics);
+    }
+
+    #[test]
+    fn stale_sheds_run_past_the_horizon_skip() {
+        // The compute phase's stale sweep skips a node while the slot is
+        // below its staleness horizon, and debug-asserts at every skip
+        // that the node holds no stale package. These runs make that
+        // assertion matter: the heavy forest and bridge packages go
+        // stale on scarce multiplexed chains, and advancing past `slots`
+        // wraps the slot index below the capture slots of packages
+        // still queued. With the tree balancer, which piles packages on
+        // single nodes, its queue rebuild sets the horizon of every
+        // awake node; without a balancer only captures and stale
+        // visits move it.
+        struct StaleSheds {
+            slots: u64,
+            begun: u64,
+            /// Packages shed as stale before and after the wrap.
+            shed: std::rc::Rc<std::cell::Cell<[u64; 2]>>,
+        }
+        impl SimObserver for StaleSheds {
+            fn on_event(&mut self, event: &SimEvent) {
+                match event {
+                    SimEvent::SlotBegan { .. } => self.begun += 1,
+                    SimEvent::PackageShed {
+                        count,
+                        reason: ShedReason::Stale,
+                        ..
+                    } => {
+                        let mut shed = self.shed.get();
+                        shed[usize::from(self.begun > self.slots)] += count;
+                        self.shed.set(shed);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        for (scenario, balancer) in [
+            (Scenario::ForestIndependent, BalancerKind::Tree),
+            (Scenario::BridgeDependent, BalancerKind::Tree),
+            (Scenario::BridgeDependent, BalancerKind::None),
+        ] {
+            let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, scenario, 1);
+            cfg.balancer = balancer;
+            cfg.multiplex = 3;
+            cfg.slots = 200;
+            let shed = std::rc::Rc::new(std::cell::Cell::new([0; 2]));
+            let mut sim = build(cfg);
+            sim.attach_observer(Box::new(StaleSheds {
+                slots: 200,
+                begun: 0,
+                shed: shed.clone(),
+            }));
+            sim.advance(500);
+            let [before, after] = shed.get();
+            assert!(
+                before > 0 && after > 0,
+                "{scenario:?} with {balancer:?}: {before} stale sheds before the wrap, \
+                 {after} after"
+            );
+        }
     }
 
     #[test]

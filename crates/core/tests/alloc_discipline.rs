@@ -199,8 +199,9 @@ fn multiplexed_slot_loop_is_allocation_free_after_warmup() {
 fn wide_chain_columnar_sweeps_are_allocation_free_after_warmup() {
     // A 1000-position chain: the columnar sweeps (harvest, wake,
     // compute skip, transmit relay fold, slot end) each walk
-    // thousand-element columns, and `begin_slot`'s in-place fills plus
-    // the transmit suffix-sum must not regrow anything. The trace
+    // thousand-element columns, and `begin_slot`'s in-place fill, the
+    // ledgers the harvest sweep opens in place and the transmit
+    // suffix-sum must not regrow anything. The trace
     // resolution is coarsened to the slot length so building this
     // width takes fewer random draws; each node stores only its
     // per-slot incomes either way.

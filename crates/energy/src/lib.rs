@@ -43,5 +43,5 @@ pub mod trace;
 pub use curve::EnergyCurve;
 pub use frontend::{Delivery, FrontEnd};
 pub use rtc::Rtc;
-pub use supercap::{CapStats, ChargeReceipt, SuperCap};
+pub use supercap::{ChargeReceipt, SuperCap};
 pub use trace::{ChainPlan, PowerTrace, Scenario, TraceGenerator};

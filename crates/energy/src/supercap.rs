@@ -9,23 +9,6 @@
 use neofog_types::{Duration, Energy, NeoFogError, Power, Result};
 use serde::{Deserialize, Serialize};
 
-/// Cumulative bookkeeping of where a capacitor's energy went.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct CapStats {
-    /// Raw energy offered by the harvester/front-end.
-    pub offered: Energy,
-    /// Energy actually banked after charge-efficiency loss.
-    pub banked: Energy,
-    /// Energy turned away because the capacitor was full.
-    pub rejected: Energy,
-    /// Energy lost to conversion inefficiency while charging.
-    pub conversion_loss: Energy,
-    /// Energy lost to self-leakage.
-    pub leaked: Energy,
-    /// Energy delivered to the load.
-    pub delivered: Energy,
-}
-
 /// What one metered charge call did to the store: the observed
 /// stored-level delta plus the share turned away. See
 /// [`SuperCap::charge_metered`].
@@ -60,7 +43,6 @@ pub struct SuperCap {
     stored: Energy,
     charge_efficiency: f64,
     leak_power: Power,
-    stats: CapStats,
 }
 
 impl SuperCap {
@@ -81,7 +63,6 @@ impl SuperCap {
             stored: Energy::ZERO,
             charge_efficiency: 1.0,
             leak_power: Power::ZERO,
-            stats: CapStats::default(),
         }
     }
 
@@ -150,31 +131,20 @@ impl SuperCap {
         self.charge_efficiency
     }
 
-    /// Cumulative statistics.
-    #[must_use]
-    pub fn stats(&self) -> CapStats {
-        self.stats
-    }
-
     /// Offers `input` energy to the capacitor; banks what fits (after
     /// conversion loss) and returns the energy **rejected** because the
     /// capacitor was full.
     pub fn charge(&mut self, input: Energy) -> Energy {
         let input = input.max_zero();
-        self.stats.offered += input;
         let after_loss = input * self.charge_efficiency;
         let room = self.capacity.saturating_sub(self.stored);
         let banked = after_loss.min(room);
         self.stored += banked;
-        self.stats.banked += banked;
         // A full capacitor turns income away *before* conversion: only
         // the accepted share of the raw input pays conversion loss, so
-        // `offered = banked + conversion_loss + rejected` holds exactly.
+        // `input = banked / efficiency + rejected`.
         let accepted_input = banked / self.charge_efficiency;
-        let rejected = input - accepted_input;
-        self.stats.conversion_loss += accepted_input - banked;
-        self.stats.rejected += rejected;
-        rejected
+        input - accepted_input
     }
 
     /// Withdraws exactly `amount` for the load.
@@ -192,7 +162,6 @@ impl SuperCap {
             });
         }
         self.stored -= amount;
-        self.stats.delivered += amount;
         Ok(())
     }
 
@@ -201,7 +170,6 @@ impl SuperCap {
     pub fn discharge_up_to(&mut self, amount: Energy) -> Energy {
         let take = amount.max_zero().min(self.stored);
         self.stored -= take;
-        self.stats.delivered += take;
         take
     }
 
@@ -209,7 +177,6 @@ impl SuperCap {
     pub fn leak(&mut self, elapsed: Duration) {
         let loss = (self.leak_power * elapsed).min(self.stored);
         self.stored -= loss;
-        self.stats.leaked += loss;
     }
 
     /// [`charge`](SuperCap::charge) plus the observed stored-level
@@ -256,18 +223,21 @@ mod tests {
     #[test]
     fn rejects_when_full() {
         let mut cap = SuperCap::new(mj(1.0));
-        let rejected = cap.charge(mj(3.0));
+        let receipt = cap.charge_metered(mj(3.0));
         assert!(cap.is_full());
-        assert!((rejected.as_millijoules() - 2.0).abs() < 1e-9);
-        assert!((cap.stats().rejected.as_millijoules() - 2.0).abs() < 1e-9);
+        assert!((receipt.rejected.as_millijoules() - 2.0).abs() < 1e-9);
+        // What was not rejected was banked (ideal charging).
+        assert!((receipt.banked.as_millijoules() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn charge_efficiency_takes_its_cut() {
         let mut cap = SuperCap::new(mj(100.0)).with_charge_efficiency(0.5);
-        cap.charge(mj(10.0));
+        let receipt = cap.charge_metered(mj(10.0));
         assert_eq!(cap.stored(), mj(5.0));
-        assert_eq!(cap.stats().conversion_loss, mj(5.0));
+        assert_eq!(receipt.rejected, Energy::ZERO);
+        // The conversion loss is what neither banked nor bounced.
+        assert_eq!(mj(10.0) - receipt.rejected - receipt.banked, mj(5.0));
     }
 
     #[test]
@@ -294,9 +264,9 @@ mod tests {
         let mut cap = SuperCap::new(mj(1.0))
             .with_initial(mj(1.0))
             .with_leak(Power::from_microwatts(10.0)); // 0.01 mW
-        cap.leak(Duration::from_secs(10)); // 0.01 mW * 10 s = 0.1 mJ
+        let leaked = cap.leak_metered(Duration::from_secs(10)); // 0.01 mW * 10 s = 0.1 mJ
         assert!((cap.stored().as_millijoules() - 0.9).abs() < 1e-9);
-        assert!((cap.stats().leaked.as_millijoules() - 0.1).abs() < 1e-9);
+        assert!((leaked.as_millijoules() - 0.1).abs() < 1e-9);
     }
 
     #[test]
@@ -317,13 +287,21 @@ mod tests {
 
     #[test]
     fn ledger_balances() {
-        let mut cap = SuperCap::new(mj(5.0)).with_charge_efficiency(0.8);
-        cap.charge(mj(4.0));
-        cap.charge(mj(4.0));
-        cap.discharge_up_to(mj(2.0));
-        cap.leak(Duration::from_secs(1));
-        let s = cap.stats();
-        let accounted = s.banked - s.delivered - s.leaked;
+        let mut cap = SuperCap::new(mj(5.0))
+            .with_charge_efficiency(0.8)
+            .with_leak(Power::from_microwatts(10.0));
+        let mut banked = Energy::ZERO;
+        for input in [mj(4.0), mj(4.0)] {
+            let receipt = cap.charge_metered(input);
+            // Only the accepted share of the input pays conversion loss.
+            let expected = (input - receipt.rejected) * 0.8;
+            assert!((receipt.banked - expected).as_nanojoules().abs() < 1e-6);
+            banked += receipt.banked;
+        }
+        let delivered = cap.discharge_up_to(mj(2.0));
+        let leaked = cap.leak_metered(Duration::from_secs(1));
+        assert!(leaked > Energy::ZERO);
+        let accounted = banked - delivered - leaked;
         assert!((accounted.as_nanojoules() - cap.stored().as_nanojoules()).abs() < 1e-6);
     }
 }

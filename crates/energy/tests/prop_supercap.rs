@@ -39,26 +39,36 @@ proptest! {
 
     #[test]
     fn energy_ledger_always_balances(ops in prop::collection::vec(op(), 1..200)) {
+        let eff = 0.8;
         let mut cap = SuperCap::new(Energy::from_millijoules(100.0))
-            .with_charge_efficiency(0.8)
+            .with_charge_efficiency(eff)
             .with_leak(Power::from_microwatts(5.0));
+        let initial = cap.stored();
+        let (mut banked, mut delivered, mut leaked) = (Energy::ZERO, Energy::ZERO, Energy::ZERO);
         for o in ops {
             match o {
-                Op::Charge(mj) => { cap.charge(Energy::from_millijoules(mj)); }
-                Op::Discharge(mj) => { cap.discharge_up_to(Energy::from_millijoules(mj)); }
-                Op::Leak(s) => cap.leak(Duration::from_secs(s)),
+                Op::Charge(mj) => {
+                    let input = Energy::from_millijoules(mj);
+                    let receipt = cap.charge_metered(input);
+                    // banked = (input − rejected) × efficiency: only the
+                    // accepted share of the input pays conversion loss.
+                    let expected = ((input - receipt.rejected) * eff).as_nanojoules();
+                    let got = receipt.banked.as_nanojoules();
+                    prop_assert!((got - expected).abs() < 1e-6 * expected.abs().max(1.0),
+                        "{got} vs {expected}");
+                    banked += receipt.banked;
+                }
+                Op::Discharge(mj) => {
+                    delivered += cap.discharge_up_to(Energy::from_millijoules(mj));
+                }
+                Op::Leak(s) => leaked += cap.leak_metered(Duration::from_secs(s)),
             }
         }
-        let s = cap.stats();
-        // banked = delivered + leaked + stored (within float tolerance)
-        let lhs = s.banked.as_nanojoules();
-        let rhs = (s.delivered + s.leaked + cap.stored()).as_nanojoules();
+        // stored = initial + banked − delivered − leaked (within float
+        // tolerance)
+        let lhs = (initial + banked).as_nanojoules();
+        let rhs = (delivered + leaked + cap.stored()).as_nanojoules();
         prop_assert!((lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
-        // offered = banked + conversion loss + rejected (input side)
-        let offered = s.offered.as_nanojoules();
-        let accounted = (s.banked + s.conversion_loss).as_nanojoules()
-            + s.rejected.as_nanojoules();
-        prop_assert!((offered - accounted).abs() < 1e-3 * offered.abs().max(1.0));
     }
 
     #[test]
