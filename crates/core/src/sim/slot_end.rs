@@ -14,7 +14,7 @@
 //! read-mutate-read sequence.
 
 use super::columns::{self, NodeColumns};
-use super::ctx::SlotCtx;
+use super::ctx::{clear_pending, SlotCtx};
 use super::event::{ShedReason, SimEvent};
 use super::Simulator;
 use neofog_types::Energy;
@@ -63,9 +63,8 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                     reason: ShedReason::Volatile,
                 });
             }
-            cold.pending.clear();
+            clear_pending(&mut cold.pending, fifo_depth);
             cold.outbox.clear();
-            *fifo_depth = 0;
         }
         bus.emit(&SimEvent::CapacitorLeaked {
             node: i,
