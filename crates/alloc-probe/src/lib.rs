@@ -27,6 +27,16 @@
 //! let _ = after - before;
 //! ```
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

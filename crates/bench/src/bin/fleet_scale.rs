@@ -8,6 +8,12 @@
 //! the streaming fleet reducer keeps ~24 bytes per chain, so chain
 //! counts in the hundreds of thousands are memory-safe.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "reports its own wall time; the clock never reaches a simulation"
+)]
+
 use neofog_bench::{banner, BenchArgs};
 use neofog_core::fleet::run_fleet_with;
 use neofog_core::report::render_table;

@@ -19,6 +19,16 @@
 //! `--seeds` aborts the run instead of regenerating the figure with
 //! the default seed.
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use neofog_core::PoolConfig;
 
 /// Prints the standard header for a figure/table binary.

@@ -76,12 +76,20 @@ impl OffloadBalancer {
 /// `target`, `hops` hops away, using the shipping node's own uplink
 /// for every hop (a deliberate simplification: relay uplinks along the
 /// route are at least as fast in every built-in capability table).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`pos` is a route-plan position, and every route table has one row per position"
+)]
 fn ship_cost(route: &RouteContext<'_>, pos: usize, hops: u32) -> Energy {
     route.caps[pos].ship_energy(route.raw_bytes) * f64::from(hops)
 }
 
 /// Remote-compute energy for `instructions` on the state at `target`:
 /// free on mains-powered tiers, the state's own efficiency otherwise.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`target` is the sink or a route-plan next hop, so it indexes both tables"
+)]
 fn remote_compute(
     chain: &ChainBalanceInput,
     route: &RouteContext<'_>,
@@ -108,6 +116,10 @@ impl LoadBalancer for OffloadBalancer {
         BalanceReport::default()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the chain and the route tables are sized to the position count the loop walks"
+    )]
     fn balance_routed(
         &mut self,
         chain: &mut ChainBalanceInput,

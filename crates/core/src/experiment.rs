@@ -13,6 +13,11 @@
 //! `&mut NoProgress`. [`run_many`] is [`run_many_with`] with those two
 //! defaults.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "figure tables indexed by the system/profile grid it builds"
+)]
+
 use crate::metrics::NetworkMetrics;
 use crate::node::SystemKind;
 use crate::runner::{run_batch, CollectAll, NoProgress, PoolConfig, Progress};

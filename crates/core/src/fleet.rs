@@ -29,6 +29,11 @@
 //!
 //! [`Simulator`]: crate::sim::Simulator
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "percentile access into a vector it sorted and sized"
+)]
+
 use crate::runner::{run_batch, NoProgress, PoolConfig, Progress, Reduce};
 use crate::sim::{SimConfig, SimResult};
 use neofog_types::{NeoFogError, Result};

@@ -34,6 +34,16 @@
 //! * [`table1`] — the catalog of deployed energy-harvesting WSN
 //!   systems (Table 1).
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod balance;
 pub mod experiment;
 pub mod fleet;

@@ -11,6 +11,11 @@
 //! giving it `M×` longer to accumulate energy per activation — the
 //! mechanism behind Figure 13's low-power QoS gains.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "clone-group tables sized to the multiplex factor"
+)]
+
 use neofog_net::slots::{clone_schedules, SlotSchedule};
 use neofog_rf::{NvRf, RadioCost};
 use neofog_types::{LogicalId, NeoFogError, NodeId, Result};

@@ -4,6 +4,11 @@
 //! the regenerated rows/series look alike and are easy to diff against
 //! the paper.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "column-width table sized to the header row"
+)]
+
 use std::fmt::Write as _;
 
 /// Renders a simple ASCII table with a header row.

@@ -30,8 +30,8 @@ impl Progress for NoProgress {}
 /// prints `label: finished/total` to stderr roughly every 5 % of the
 /// batch (and always for the final job).
 ///
-/// The cadence is count-based, not time-based: the core crate stays
-/// free of wall-clock sources (`NF-DET-001`), and a fleet of uniform
+/// The cadence is count-based, not time-based: library code reads no
+/// wall clock (the clock ban in `clippy.toml`), and a fleet of uniform
 /// chains ticks at an even rate anyway.
 #[derive(Debug, Clone, Default)]
 pub struct StderrTicker {

@@ -38,6 +38,10 @@ fn vacant(tasks: Vec<FogTask>) -> NodeBalanceState {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "phase functions loop over per-node vectors all sized to the node count"
+)]
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     if !sim.cfg.system.is_fog_capable() || matches!(sim.cfg.balancer, BalancerKind::None) {
         return;

@@ -311,6 +311,10 @@ impl NodeColumns {
     }
 
     /// A row lens over node `i` (disjoint `&mut`s; see [`NodeView`]).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is a node index, and every column holds one row per node"
+    )]
     pub(crate) fn view(&mut self, i: usize) -> NodeView<'_> {
         let cold = &mut self.cold[i];
         let fifo_depth = &mut self.fifo_depth[i];

@@ -27,6 +27,10 @@ use super::event::{ShedReason, SimEvent};
 use super::Simulator;
 use neofog_types::Power;
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "phase functions loop over per-node vectors all sized to the node count"
+)]
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let fog_capable = sim.cfg.system.is_fog_capable();
     let (parts, mut bus) = sim.split();

@@ -19,8 +19,9 @@
 //! Every build compiles and checks the same ledger, and settling emits
 //! no event, so debug and release runs write identical event logs. A
 //! violation is a simulator bug: the run panics with the node, the
-//! slot and every bucket in nJ. The `NF-LEDGER-001` lint keeps every
-//! debit/credit site in the phase files routed through it.
+//! slot and every bucket in nJ. A debit or credit that skips the
+//! ledger breaks the balance, so the first run that takes its path
+//! fails.
 
 use neofog_types::Energy;
 

@@ -133,6 +133,10 @@ impl MetricsObserver {
 }
 
 impl SimObserver for MetricsObserver {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "event node ids index the per-node counters, which are sized to the node count"
+    )]
     fn on_event(&mut self, event: &SimEvent) {
         match *event {
             SimEvent::HarvestBooked { node, income } => {

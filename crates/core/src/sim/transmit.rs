@@ -29,6 +29,10 @@ use super::event::{RadioPurpose, SimEvent};
 use super::Simulator;
 use neofog_types::Duration;
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "phase functions loop over per-node vectors all sized to the node count"
+)]
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let (parts, mut bus) = sim.split();
     let radio = parts.cfg.node.radio;

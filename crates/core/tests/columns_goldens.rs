@@ -31,7 +31,7 @@ fn quick_in(system: SystemKind, scenario: Scenario) -> SimConfig {
     cfg
 }
 
-/// FNV-1a 64-bit, the same hash the xtask model cache uses: stable,
+/// FNV-1a 64-bit, the same hash `Simulator::state_digest` uses: stable,
 /// dependency-free, and sensitive to any byte-level drift.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;

@@ -34,6 +34,16 @@
 //! assert!(cap.stored() > Energy::ZERO);
 //! ```
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod curve;
 pub mod frontend;
 pub mod rtc;

@@ -12,6 +12,11 @@
 //! * **Rainy** (mountain-slide monitoring, Figure 13): very low income
 //!   with occasional dimming, shared weather (dependent).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "trace resampling bounded by the sample count it allocates"
+)]
+
 use crate::curve::EnergyCurve;
 use neofog_types::{Duration, Energy, Power, SimRng};
 use serde::{Deserialize, Serialize};

@@ -11,6 +11,16 @@
 //!   [`RoutePlan`]s (next hops, hop counts, sweep order, CSR children)
 //!   so the simulator's slot loop never searches the graph.
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod plan;
 pub mod slots;
 

@@ -214,6 +214,10 @@ impl RoutePlan {
     /// out of range or some node cannot reach the sink (the
     /// [`erdos_renyi_edges`] generator repairs connectivity before
     /// handing its edges here).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "endpoints are checked against `n` before they index `neighbours`"
+    )]
     pub fn from_edges(
         n: usize,
         edges: &[(u32, u32)],
@@ -246,6 +250,10 @@ impl RoutePlan {
 
     /// Finishes a plan from its core tables: derives the sweep order
     /// and the CSR children adjacency.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every table has one row per position, and parents are positions"
+    )]
     fn assemble(next_hop: Vec<u32>, hops: Vec<u32>, tier: Vec<NodeTier>) -> RoutePlan {
         let n = next_hop.len();
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -295,6 +303,10 @@ impl RoutePlan {
 
     /// Next hop of position `v`, `None` at the sink.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`v` is a position of this plan; out of range is a caller bug, as with a slice index"
+    )]
     pub fn next_hop(&self, v: usize) -> Option<usize> {
         let hop = self.next_hop[v];
         (hop != NO_HOP).then_some(hop as usize)
@@ -308,6 +320,10 @@ impl RoutePlan {
 
     /// Hop count from position `v` to the sink.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`v` is a position of this plan; out of range is a caller bug, as with a slice index"
+    )]
     pub fn hops(&self, v: usize) -> u32 {
         self.hops[v]
     }
@@ -326,6 +342,10 @@ impl RoutePlan {
 
     /// Tier of position `v`.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`v` is a position of this plan; out of range is a caller bug, as with a slice index"
+    )]
     pub fn tier(&self, v: usize) -> NodeTier {
         self.tier[v]
     }
@@ -338,6 +358,10 @@ impl RoutePlan {
 
     /// Children of position `v`: the positions that relay through it.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`v` is a position of this plan; out of range is a caller bug, as with a slice index"
+    )]
     pub fn children(&self, v: usize) -> &[u32] {
         &self.adj[self.adj_start[v] as usize..self.adj_start[v + 1] as usize]
     }
@@ -345,7 +369,7 @@ impl RoutePlan {
     /// Longest hop count in the plan (0 for a single node or empty).
     #[must_use]
     pub fn max_hops(&self) -> u32 {
-        self.order.first().map_or(0, |&v| self.hops[v as usize])
+        self.order.first().map_or(0, |&v| self.hops(v as usize))
     }
 }
 
@@ -361,6 +385,10 @@ impl RoutePlan {
 /// until the graph is sink-connected (at most `components − 1` extra
 /// edges).
 #[must_use]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "edges join positions below `n`, and node 0 is always reachable"
+)]
 pub fn erdos_renyi_edges(n: usize, edge_prob: f64, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = SimRng::seed_from(seed ^ 0x0E06_E57A_70B0_0001);
     let mut edges = Vec::new();
@@ -400,6 +428,10 @@ pub fn erdos_renyi_edges(n: usize, edge_prob: f64, seed: u64) -> Vec<(u32, u32)>
 /// nodes (and the root's parent). Tie-breaking is by discovery order:
 /// lists are walked as given, so callers wanting smallest-index
 /// parents sort their lists first.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "adjacency lists hold positions below `n`, the length of every table here"
+)]
 fn bfs_tree(neighbours: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
     let n = neighbours.len();
     let mut parent = vec![NO_HOP; n];

@@ -24,6 +24,16 @@
 //!   (Figure 2(b)) that enables the buffered
 //!   sensing→buffering→computing→compression→transmission strategy.
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod exec;
 pub mod nvbuffer;
 pub mod processor;

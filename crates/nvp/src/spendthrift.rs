@@ -88,7 +88,7 @@ impl SpendthriftPolicy {
     pub fn from_levels(levels: Vec<FrequencyLevel>) -> Self {
         assert!(!levels.is_empty(), "at least one level required");
         assert!(
-            levels.windows(2).all(|w| w[0].factor <= w[1].factor),
+            levels.is_sorted_by(|a, b| a.factor <= b.factor),
             "levels must be sorted by factor"
         );
         SpendthriftPolicy { levels }
@@ -105,6 +105,10 @@ impl SpendthriftPolicy {
     /// level when even it exceeds income (the capacitor covers the
     /// gap).
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`from_levels` asserts that the level table is not empty"
+    )]
     pub fn choose(&self, income: Power) -> FrequencyLevel {
         self.levels
             .iter()

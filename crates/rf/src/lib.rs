@@ -21,6 +21,16 @@
 //! radio models), [`packet`] (frames), [`loss`] (the measured 0.75 %
 //! weather-driven loss process).
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod loss;
 pub mod model;
 pub mod packet;

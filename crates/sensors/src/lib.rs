@@ -12,6 +12,16 @@
 //! * [`signal`] — deterministic synthetic waveform generators for
 //!   temperature, acceleration, UV, heartbeat and image data.
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod signal;
 pub mod spec;
 

@@ -82,7 +82,7 @@ define_id! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn round_trips_raw_values() {
@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn usable_as_map_keys() {
-        let mut set = HashSet::new();
+        let mut set = BTreeSet::new();
         set.insert(NodeId::new(1));
         set.insert(NodeId::new(1));
         set.insert(NodeId::new(2));

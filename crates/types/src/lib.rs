@@ -27,6 +27,16 @@
 //! assert!((tx.as_nanojoules() - 2851.2).abs() < 1e-9);
 //! ```
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod error;
 pub mod id;
 pub mod rng;

@@ -162,7 +162,7 @@ impl SimRng {
         if items.is_empty() {
             None
         } else {
-            Some(&items[self.index(items.len())])
+            items.get(self.index(items.len()))
         }
     }
 }

@@ -12,6 +12,11 @@
 //!
 //! Every stage is bijective; [`decompress`] restores the input exactly.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "RLE/delta codec; window indices bounded by input length"
+)]
+
 use neofog_types::{NeoFogError, Result};
 
 const LZSS_WINDOW: usize = 4096;

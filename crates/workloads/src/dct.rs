@@ -8,6 +8,11 @@
 //! quantization, zig-zag scan, and entropy packing via the workspace's
 //! lossless back-end.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "8x8 DCT kernel; fixed-size block indices"
+)]
+
 use crate::compress::{compress as lossless_pack, decompress as lossless_unpack};
 use neofog_types::{NeoFogError, Result};
 

@@ -5,6 +5,11 @@
 //! (§3.1). This is a dependency-free iterative radix-2 implementation
 //! adequate for the power-of-two batch sizes the NV buffer produces.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "radix-2 FFT butterflies; indices bounded by the power-of-two length"
+)]
+
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul, Sub};
 

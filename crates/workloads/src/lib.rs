@@ -15,6 +15,16 @@
 //!    RLE + LZSS) achieving the paper's 3–14.5 % ratios on WSN-like
 //!    data. Examples and integration tests run these end-to-end.
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod app;
 pub mod compress;
 pub mod dct;

@@ -4,6 +4,11 @@
 //! and "temperature and humidity noise removal" on the model outputs
 //! (§3.1). Three standard small-footprint filters are provided.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "spectral-band kernel over self-allocated series"
+)]
+
 /// Centered moving-average filter of odd `window` size.
 ///
 /// Edges use a shrunken window so the output has the input's length.

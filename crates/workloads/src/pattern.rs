@@ -7,6 +7,11 @@
 //! gain and offset differences between the stored template and the
 //! live signal.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "sliding-window matcher; window bounded by input length"
+)]
+
 use serde::{Deserialize, Serialize};
 
 /// One detected template occurrence.

@@ -15,6 +15,11 @@
 //! 3. [`spectral_energy_model`] — RMS-band-energy health index
 //!    (detects loosening as energy migrating to low frequencies).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "structural-model kernel; stencil indices bounded by the mesh size"
+)]
+
 use crate::fft::{dominant_bin, magnitude_spectrum};
 use serde::{Deserialize, Serialize};
 

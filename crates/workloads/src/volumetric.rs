@@ -71,6 +71,10 @@ impl VoxelGrid {
 
     /// The reconstructed value at a voxel (0 where no sample reached).
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "voxel-grid kernel; indices bounded by the grid dimensions it allocates"
+    )]
     pub fn value_at(&self, ix: usize, iy: usize, iz: usize) -> f64 {
         let i = self.index(ix, iy, iz);
         if self.weights[i] > 0.0 {
@@ -88,6 +92,10 @@ impl VoxelGrid {
 
     /// Splats one sample into the grid with inverse-distance weighting
     /// over a `radius`-voxel neighbourhood.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "voxel-grid kernel; indices bounded by the grid dimensions it allocates"
+    )]
     pub fn splat(&mut self, sample: &PointSample, radius: usize) {
         let rel = [
             (sample.position[0] - self.origin[0]) / self.voxel_size,

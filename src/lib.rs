@@ -36,6 +36,16 @@
 //! assert!(result.metrics.fog_processed() > 0);
 //! ```
 
+// Library code must not panic: one panic aborts a whole fleet sweep.
+// Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub use neofog_core as core;
 pub use neofog_energy as energy;
 pub use neofog_net as net;
