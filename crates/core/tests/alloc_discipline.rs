@@ -17,10 +17,13 @@
 //! the simulator: the tree balancer can pile more packages on one node
 //! than it ever held before, late in a run (380 on one FIOS forest
 //! node at seed 1, slot 1,356), and that node's queues grow to hold
-//! them. The remaining cases exercise other paths (the NOS baseline,
-//! multiplexed clones, a wide chain's columnar sweeps, a routed mesh,
-//! tiers) with `BalancerKind::None`, to keep each on the path it is
-//! about.
+//! them. The Offload balancer runs on a routed mesh, where it
+//! allocates nothing after a 64-slot warm-up; on a tiered topology it
+//! still allocates a few times late in a run, so that class does not
+//! run here. The remaining cases exercise other paths (the NOS
+//! baseline, multiplexed clones, a wide chain's columnar sweeps, a
+//! routed mesh, tiers) with `BalancerKind::None`, to keep each on the
+//! path it is about.
 //!
 //! The counter is process-wide, so concurrently running cases would
 //! count each other's allocations. This binary is therefore declared
@@ -232,6 +235,23 @@ fn mesh_slot_loop_is_allocation_free_after_warmup() {
     assert_eq!(allocs, 0, "mesh steady state allocated {allocs}");
 }
 
+fn offload_mesh_is_allocation_free_after_warmup() {
+    // The Offload balancer on a routed mesh: the balance phase prices
+    // every starved position's ship-or-compute choice against the
+    // route plan and records one decision per position. Its decision
+    // list and the chain's task lists are sized during warm-up.
+    let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, 1);
+    cfg.positions = 200;
+    cfg.slots = 400;
+    cfg.topology = neofog_net::TopologySpec::ErdosRenyi {
+        edge_prob: 4.0 / 200.0,
+        seed: 7,
+    };
+    cfg.balancer = BalancerKind::Offload;
+    let allocs = steady_state_allocs(cfg, 64);
+    assert_eq!(allocs, 0, "offload mesh steady state allocated {allocs}");
+}
+
 fn tiered_slot_loop_is_allocation_free_after_warmup() {
     let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, 1);
     cfg.positions = 120;
@@ -243,7 +263,7 @@ fn tiered_slot_loop_is_allocation_free_after_warmup() {
 }
 
 fn main() {
-    let cases: [(&str, fn()); 7] = [
+    let cases: [(&str, fn()); 8] = [
         (
             "slot_loop_is_allocation_free_after_warmup",
             slot_loop_is_allocation_free_after_warmup,
@@ -267,6 +287,10 @@ fn main() {
         (
             "mesh_slot_loop_is_allocation_free_after_warmup",
             mesh_slot_loop_is_allocation_free_after_warmup,
+        ),
+        (
+            "offload_mesh_is_allocation_free_after_warmup",
+            offload_mesh_is_allocation_free_after_warmup,
         ),
         (
             "tiered_slot_loop_is_allocation_free_after_warmup",

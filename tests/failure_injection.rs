@@ -3,7 +3,10 @@
 
 use neofog::core::balance::{DistributedBalancer, FogTask, LoadBalancer, NodeBalanceState};
 use neofog::core::sim::BalancerKind;
+use neofog::net::TopologySpec;
 use neofog::prelude::*;
+use proptest::prelude::{any, prop_assert, proptest, ProptestConfig};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
 fn interrupted_balancing_affects_performance_not_functionality() {
@@ -90,4 +93,56 @@ fn balancer_misconfiguration_is_harmless() {
     let result = Simulator::new(cfg).expect("valid config").run();
     assert_eq!(result.metrics.balance_tasks_moved, 0);
     assert_eq!(result.metrics.fog_processed(), 0);
+}
+
+const SCENARIOS: [Scenario; 4] = [
+    Scenario::ForestIndependent,
+    Scenario::BridgeDependent,
+    Scenario::MountainSunny,
+    Scenario::MountainRainy,
+];
+
+const BALANCERS: [BalancerKind; 4] = [
+    BalancerKind::None,
+    BalancerKind::Tree,
+    BalancerKind::Distributed,
+    BalancerKind::Offload,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No configuration panics the slot loop: a fleet sweep runs
+    /// thousands of simulations, and one panic aborts them all. A
+    /// configuration is either rejected by `Simulator::new` or runs to
+    /// the end with processed <= captured <= wakeups.
+    #[test]
+    fn random_configurations_never_panic(
+        (system, scenario, balancer) in (0usize..3, 0usize..4, 0usize..4),
+        (topology, edge_prob, graph_seed, gateways) in
+            (0usize..3, 0.0..1.0f64, any::<u64>(), 0usize..5),
+        (positions, multiplex, slots) in (1usize..41, 1u32..6, 1u64..201),
+        (seed, weather_loss, initial_charge) in (any::<u64>(), 0.0..1.0f64, 0.0..1.0f64),
+    ) {
+        let mut cfg = SimConfig::paper_default(SystemKind::ALL[system], SCENARIOS[scenario], seed);
+        cfg.balancer = BALANCERS[balancer];
+        cfg.topology = match topology {
+            0 => TopologySpec::Chain,
+            1 => TopologySpec::ErdosRenyi { edge_prob, seed: graph_seed },
+            _ => TopologySpec::Tiered { gateways },
+        };
+        cfg.positions = positions;
+        cfg.multiplex = multiplex;
+        cfg.slots = slots;
+        cfg.weather_loss = weather_loss;
+        cfg.node.initial_charge = initial_charge;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            Simulator::new(cfg.clone()).map(|sim| sim.run().metrics)
+        }));
+        prop_assert!(run.is_ok(), "panicked on {cfg:?}");
+        if let Ok(Ok(m)) = run {
+            prop_assert!(m.total_processed() <= m.total_captured(), "{cfg:?}");
+            prop_assert!(m.total_captured() <= m.total_wakeups(), "{cfg:?}");
+        }
+    }
 }
