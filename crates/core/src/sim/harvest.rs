@@ -2,7 +2,7 @@
 //! energy budget.
 //!
 //! Per node: the ambient income is one read from the income table
-//! `Simulator::new` folded from the node's power trace, scaled by the
+//! `NodeColumns::new` folded from the node's power trace, scaled by the
 //! harvester front-end; the RTC capacitor charges first (charging
 //! priority) and, if it lost synchronization, attempts a stored-energy
 //! resync; what remains fills the `direct_left` budget column — FIOS
@@ -10,12 +10,13 @@
 //! nodes only the capacitor round-trip.
 //!
 //! The sweep zips exactly the columns it writes (capacitor, RTC,
-//! direct pool, income power, the slot's ledgers) with a stride
-//! through the node-major income table (this slot's value of each
-//! node). It opens each node's ledger against the stored level
-//! entering the slot before booking anything. The harvester and
-//! direct-channel efficiencies come from the run's `NodeConfig`, so
-//! the sweep never touches a cold row.
+//! direct pool, income power, the slot's ledgers) with the slot's row
+//! of the slot-major income table: a dense slice, in node order, that
+//! [`IncomeTable::slot`](super::columns::IncomeTable::slot) hands it,
+//! so harvest never learns the table's layout. It opens each node's
+//! ledger against the stored level entering the slot before booking
+//! anything. The harvester and direct-channel efficiencies come from
+//! the run's `NodeConfig`, so the sweep never touches a cold row.
 
 use super::columns::NodeColumns;
 use super::ctx::SlotCtx;
@@ -30,21 +31,21 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let harvester_efficiency = parts.cfg.node.harvester_efficiency;
     let fe = parts.cfg.node.front_end;
     let has_direct = fe.has_direct_channel();
-    let window = parts.cfg.window() as usize;
     let NodeColumns {
         cap,
         rtc,
         direct_left,
         income_power,
-        income: table,
+        income,
         ..
     } = &mut *parts.nodes;
-    let ambients = table.iter().skip(ctx.slot as usize).step_by(window);
+    let ambients = income.slot(ctx.slot);
     // The zip stops at its shortest input, so these make it rewrite
     // every node's income power and open every node's ledger.
     debug_assert_eq!(ambients.len(), income_power.len());
     debug_assert_eq!(ctx.ledgers.len(), income_power.len());
     for (i, (((((ambient, cap), rtc), direct_left), income_power), ledger)) in ambients
+        .iter()
         .zip(cap.iter_mut())
         .zip(rtc.iter_mut())
         .zip(direct_left.iter_mut())

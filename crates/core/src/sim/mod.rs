@@ -82,7 +82,7 @@ use neofog_energy::{Scenario, TraceGenerator};
 use neofog_net::{RoutePlan, TopologySpec};
 use neofog_nvp::SpendthriftPolicy;
 use neofog_rf::{LossModel, RfTimings};
-use neofog_types::{Duration, Energy, NeoFogError, Result, SimRng};
+use neofog_types::{Duration, NeoFogError, Result, SimRng};
 use observe::EventBus;
 use serde::{Deserialize, Serialize};
 
@@ -262,10 +262,16 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Convenience: total delivered / ideal.
+    /// Convenience: total delivered / ideal, or 0.0 for a run with no
+    /// slots (nothing was ideal, and nothing was delivered).
     #[must_use]
     pub fn delivery_ratio(&self) -> f64 {
-        self.metrics.total_processed() as f64 / self.config.ideal_packages() as f64
+        let ideal = self.config.ideal_packages();
+        if ideal == 0 {
+            0.0
+        } else {
+            self.metrics.total_processed() as f64 / ideal as f64
+        }
     }
 }
 
@@ -323,15 +329,23 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`NeoFogError::InvalidConfig`] when the slot length or
-    /// the trace interval is zero; when the physical node count
-    /// (`positions × multiplex`), `slots` or
+    /// Returns [`NeoFogError::InvalidConfig`] when the chain is empty
+    /// (zero positions or a zero multiplex factor); when the slot
+    /// length or the trace interval is zero; when the physical node
+    /// count (`positions × multiplex`), `slots` or
     /// `node.package.fog_instructions` exceeds `u32::MAX` (a queued
     /// package stores each in a `u32`); when a fog-capable system's
     /// packages carry no fog instructions; when the balancer rejects the
     /// slot length (see [`BalancerKind::build`]) or when `events_path`
     /// cannot be created.
     pub fn new(cfg: SimConfig) -> Result<Self> {
+        if cfg.positions == 0 || cfg.multiplex == 0 {
+            return Err(NeoFogError::invalid_config(format!(
+                "a chain needs at least one position and one clone per position \
+                 (got {} positions × multiplex {})",
+                cfg.positions, cfg.multiplex
+            )));
+        }
         if cfg.slot_len.is_zero() || cfg.trace_dt.is_zero() {
             return Err(NeoFogError::invalid_config(format!(
                 "slot length and trace interval must be positive (got {} µs and {} µs)",
@@ -372,14 +386,6 @@ impl Simulator {
         // their shared base curve exactly once here, instead of once
         // per physical node.
         let plan = gen.chain_plan(physical, total_time, trace_dt);
-        // Fold each node's trace into its per-slot incomes as it is
-        // synthesized: one node-major table of `window` values per
-        // node. No trace outlives its fold.
-        let window = cfg.window() as usize;
-        let mut income = vec![Energy::ZERO; window * physical];
-        for (idx, incomes) in income.chunks_mut(window).enumerate() {
-            plan.slot_incomes(idx, cfg.income_scale, cfg.slot_len, incomes);
-        }
         // Compile the topology once: the slot loop only reads the
         // resulting next-hop/hops/order tables.
         let route = cfg.topology.build(cfg.positions)?;
@@ -392,10 +398,11 @@ impl Simulator {
         let delivery_odds = (0..cfg.positions)
             .map(|p| loss.chain_success(route.hops(p) + 1))
             .collect();
-        // Fill the columns the slot kernel sweeps in place: hot fields
-        // become dense arrays beside the income table, queues and RNG
-        // streams stay row-oriented.
-        let nodes = NodeColumns::new(&cfg, income);
+        // Fill the columns the slot kernel sweeps in place, folding each
+        // node's trace into the income table as it is synthesized: hot
+        // fields and each slot's incomes become dense arrays, queues and
+        // RNG streams stay row-oriented.
+        let nodes = NodeColumns::new(&cfg, &plan);
         let balancer = cfg.balancer.build(cfg.slot_len)?;
         let metrics = MetricsObserver::new(physical);
         let trace = cfg.trace_stored.then(|| StoredTraceObserver::new(physical));
@@ -511,11 +518,15 @@ impl Simulator {
         }
         let Simulator {
             cfg,
+            nodes,
             mut metrics,
             trace,
             mut observers,
             ..
         } = self;
+        // The node state is the run's largest allocation: free it before
+        // the metric rows are built beside the metric columns.
+        drop(nodes);
         metrics.on_finish();
         observers.on_finish();
         let mut metrics = metrics.into_metrics();
@@ -596,6 +607,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neofog_types::Energy;
 
     fn quick_cfg(system: SystemKind) -> SimConfig {
         let mut cfg = SimConfig::paper_default(system, Scenario::ForestIndependent, 1);
@@ -720,6 +732,24 @@ mod tests {
             .nodes
             .iter()
             .all(|n| n.harvested == Energy::ZERO));
+    }
+
+    #[test]
+    fn empty_chains_are_rejected() {
+        for (positions, multiplex) in [(0, 1), (10, 0), (0, 0)] {
+            let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+            cfg.positions = positions;
+            cfg.multiplex = multiplex;
+            assert!(
+                matches!(Simulator::new(cfg), Err(NeoFogError::InvalidConfig { .. })),
+                "{positions} × {multiplex} nodes accepted"
+            );
+        }
+        // A run with no slots stays legal: nothing was ideal, so nothing
+        // of it was delivered.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.slots = 0;
+        assert_eq!(build(cfg).run().delivery_ratio(), 0.0);
     }
 
     #[test]

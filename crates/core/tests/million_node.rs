@@ -1,17 +1,20 @@
 //! Fleet-scale smoke tests for the columnar slot kernel.
 //!
 //! Both tests are `#[ignore]`d: they build chains of 10⁵–10⁶ physical
-//! nodes and belong to the nightly CI job, run in release mode:
+//! nodes and run in release mode. CI runs the 10⁵-node case (a few
+//! seconds) on every push and pull request, and both in the nightly
+//! job:
 //!
 //! ```text
+//! cargo test --release -p neofog-core --test million_node -- --ignored hundred_thousand
 //! cargo test --release -p neofog-core --test million_node -- --ignored
 //! ```
 //!
 //! The configuration mirrors the `slot_kernel` bench: the trace
 //! resolution is coarsened to the slot length (each node stores only
 //! its `slots` per-slot incomes, so this cuts set-up's random draws,
-//! not memory) and the balancer is `None` (the balancers still
-//! allocate per call, DESIGN.md §11).
+//! not memory) and the balancer is `None`, so the chain measures the
+//! column sweeps alone (`alloc_discipline` covers the balancers).
 //!
 //! The allocation counter is process-global, so the two tests hold
 //! [`SERIAL`] for their whole run: the 10⁶-node build must not allocate

@@ -115,13 +115,16 @@ proptest! {
     /// No configuration panics the slot loop: a fleet sweep runs
     /// thousands of simulations, and one panic aborts them all. A
     /// configuration is either rejected by `Simulator::new` or runs to
-    /// the end with processed <= captured <= wakeups.
+    /// the end on at least one physical node, with processed <=
+    /// captured <= wakeups and a finite delivery ratio. The draws
+    /// include empty chains (0 positions, multiplex 0), which must be
+    /// rejected, and runs of 0 slots, which must not.
     #[test]
     fn random_configurations_never_panic(
         (system, scenario, balancer) in (0usize..3, 0usize..4, 0usize..4),
         (topology, edge_prob, graph_seed, gateways) in
             (0usize..3, 0.0..1.0f64, any::<u64>(), 0usize..5),
-        (positions, multiplex, slots) in (1usize..41, 1u32..6, 1u64..201),
+        (positions, multiplex, slots) in (0usize..41, 0u32..6, 0u64..201),
         (seed, weather_loss, initial_charge) in (any::<u64>(), 0.0..1.0f64, 0.0..1.0f64),
     ) {
         let mut cfg = SimConfig::paper_default(SystemKind::ALL[system], SCENARIOS[scenario], seed);
@@ -136,13 +139,14 @@ proptest! {
         cfg.slots = slots;
         cfg.weather_loss = weather_loss;
         cfg.node.initial_charge = initial_charge;
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            Simulator::new(cfg.clone()).map(|sim| sim.run().metrics)
-        }));
+        let run = catch_unwind(AssertUnwindSafe(|| Simulator::new(cfg.clone()).map(Simulator::run)));
         prop_assert!(run.is_ok(), "panicked on {cfg:?}");
-        if let Ok(Ok(m)) = run {
+        if let Ok(Ok(result)) = run {
+            let m = &result.metrics;
+            prop_assert!(!m.nodes.is_empty(), "no physical node: {cfg:?}");
             prop_assert!(m.total_processed() <= m.total_captured(), "{cfg:?}");
             prop_assert!(m.total_captured() <= m.total_wakeups(), "{cfg:?}");
+            prop_assert!(result.delivery_ratio().is_finite(), "{cfg:?}");
         }
     }
 }
