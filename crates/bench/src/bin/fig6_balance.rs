@@ -8,7 +8,7 @@ use neofog_core::balance::{
     TreeBalancer,
 };
 use neofog_core::report::render_table;
-use neofog_types::{Energy, NodeId, SimRng};
+use neofog_types::{Energy, NodeId};
 
 /// Builds the Figure 6(b) situation: per-node available energy (in
 /// task-units) and queued tasks.
@@ -46,7 +46,7 @@ fn completable(chain: &ChainBalanceInput) -> u64 {
 fn show(label: &str, balancer: &mut dyn LoadBalancer) {
     let mut chain = figure6_chain();
     let before = completable(&chain);
-    let report = balancer.balance(&mut chain, &mut SimRng::seed_from(6));
+    let report = balancer.balance(&mut chain);
     let after = completable(&chain);
     let rows: Vec<Vec<String>> = chain
         .nodes
@@ -109,7 +109,7 @@ fn main() {
     let mut chain = figure6_chain();
     chain.nodes[5].spare_energy = Energy::ZERO;
     chain.nodes[5].alive = false;
-    let report = TreeBalancer::new().balance(&mut chain, &mut SimRng::seed_from(6));
+    let report = TreeBalancer::new().balance(&mut chain);
     println!(
         "tree balance with a dead coordinator: {} interrupted region(s) (paper: 'left 12 tasks are all missed')",
         report.interrupted_regions

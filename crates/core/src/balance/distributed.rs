@@ -13,7 +13,7 @@
 
 use super::dp::{partition_tasks_into, Assignment, Side};
 use super::{BalanceReport, ChainBalanceInput, FogTask, LoadBalancer};
-use neofog_types::{Energy, SimRng};
+use neofog_types::Energy;
 
 /// Time quantum of the DP tables, in microseconds (0.1 s).
 const TIME_UNIT_US: u64 = 100_000;
@@ -233,7 +233,7 @@ impl LoadBalancer for DistributedBalancer {
         "distributed"
     }
 
-    fn balance(&mut self, chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
+    fn balance(&mut self, chain: &mut ChainBalanceInput) -> BalanceReport {
         let mut report = BalanceReport::default();
         self.size_for(chain);
         for _ in 0..PASSES {
@@ -254,17 +254,14 @@ mod tests {
     use super::*;
     use crate::balance::test_util::{chain, completable};
     use crate::balance::NodeBalanceState;
-
-    fn rng() -> SimRng {
-        SimRng::seed_from(9)
-    }
+    use neofog_types::SimRng;
 
     #[test]
     fn offloads_deficit_to_both_neighbors() {
         // Middle node has 4 tasks, no energy; neighbours each afford 2.
         // 100k-instruction tasks cost ~250 uJ each.
         let mut input = chain(&[0.52, 0.05, 0.52], &[0, 4, 0], 100_000);
-        let report = DistributedBalancer::new(60).balance(&mut input, &mut rng());
+        let report = DistributedBalancer::new(60).balance(&mut input);
         assert_eq!(report.tasks_moved, 4);
         assert_eq!(input.nodes[0].tasks.len(), 2);
         assert_eq!(input.nodes[2].tasks.len(), 2);
@@ -277,7 +274,7 @@ mod tests {
         // 10. Here: node 1 starves, node 2 can take 1 task, node 3 has
         // plenty — overflow must travel 1 → 2 → 3 across passes.
         let mut input = chain(&[0.0, 0.05, 0.26, 5.0], &[0, 3, 0, 0], 100_000);
-        let report = DistributedBalancer::new(600).balance(&mut input, &mut rng());
+        let report = DistributedBalancer::new(600).balance(&mut input);
         assert!(report.tasks_moved >= 3, "moved {}", report.tasks_moved);
         assert!(
             !input.nodes[3].tasks.is_empty(),
@@ -298,7 +295,7 @@ mod tests {
             400_000,
         );
         let before = completable(&input);
-        DistributedBalancer::new(60).balance(&mut input, &mut rng());
+        DistributedBalancer::new(60).balance(&mut input);
         let after = completable(&input);
         assert!(after > before, "{before} -> {after}");
     }
@@ -307,7 +304,7 @@ mod tests {
     fn starved_node_interrupts_instead_of_balancing() {
         // The deficit node cannot even afford the exchange.
         let mut input = chain(&[5.0, 0.02, 5.0], &[0, 3, 0], 100_000);
-        let report = DistributedBalancer::new(60).balance(&mut input, &mut rng());
+        let report = DistributedBalancer::new(60).balance(&mut input);
         assert_eq!(report.tasks_moved, 0);
         assert!(report.interrupted_regions > 0);
         assert_eq!(input.nodes[1].tasks.len(), 3, "tasks stay put");
@@ -319,7 +316,7 @@ mod tests {
         // Algorithm 1 sends them all "right", where they do not fit,
         // so they stay queued (and its time sums do not overflow).
         let mut input = chain(&[5.0, 0.05, 5.0], &[0, 9, 0], 100_000_000);
-        let report = DistributedBalancer::new(60).balance(&mut input, &mut rng());
+        let report = DistributedBalancer::new(60).balance(&mut input);
         assert_eq!(report.tasks_moved, 0);
         assert_eq!(input.nodes[1].tasks.len(), 9);
     }
@@ -329,7 +326,7 @@ mod tests {
         let mut input = chain(&[10.0, 0.01, 10.0], &[0, 2, 0], 100_000);
         input.nodes[0].alive = false;
         input.nodes[2].alive = false;
-        let report = DistributedBalancer::new(60).balance(&mut input, &mut rng());
+        let report = DistributedBalancer::new(60).balance(&mut input);
         assert_eq!(report.tasks_moved, 0);
         assert_eq!(input.nodes[1].tasks.len(), 2);
     }
@@ -338,7 +335,7 @@ mod tests {
     fn prefers_side_with_capacity() {
         // Left neighbour is rich, right is broke.
         let mut input = chain(&[2.0, 0.05, 0.0], &[0, 2, 0], 100_000);
-        DistributedBalancer::new(60).balance(&mut input, &mut rng());
+        DistributedBalancer::new(60).balance(&mut input);
         assert_eq!(input.nodes[0].tasks.len(), 2);
         assert!(input.nodes[2].tasks.is_empty());
     }
@@ -355,7 +352,7 @@ mod tests {
                 .iter()
                 .map(super::super::NodeBalanceState::queued_instructions)
                 .sum();
-            DistributedBalancer::new(60).balance(&mut input, &mut SimRng::seed_from(4));
+            DistributedBalancer::new(60).balance(&mut input);
             let after: u64 = input
                 .nodes
                 .iter()
@@ -386,7 +383,7 @@ mod tests {
                 mk(4.0 * 83_333.0, 2.0, 0),
             ],
         };
-        DistributedBalancer::new(60).balance(&mut input, &mut rng());
+        DistributedBalancer::new(60).balance(&mut input);
         assert!(
             input.nodes[2].tasks.len() > input.nodes[0].tasks.len(),
             "fast side should take more: {:?}",

@@ -28,7 +28,7 @@ pub use tree::TreeBalancer;
 
 use crate::node::NodeCapabilities;
 use neofog_net::NodeTier;
-use neofog_types::{Energy, NodeId, SimRng};
+use neofog_types::{Energy, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// One task queued for in-fog execution.
@@ -145,7 +145,7 @@ pub trait LoadBalancer: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Redistributes tasks in place and reports what moved.
-    fn balance(&mut self, chain: &mut ChainBalanceInput, rng: &mut SimRng) -> BalanceReport;
+    fn balance(&mut self, chain: &mut ChainBalanceInput) -> BalanceReport;
 
     /// Topology-aware entry point: redistributes tasks with the route
     /// plan and per-position capabilities in view, appending any
@@ -158,11 +158,10 @@ pub trait LoadBalancer: Send + Sync {
         &mut self,
         chain: &mut ChainBalanceInput,
         route: &RouteContext<'_>,
-        rng: &mut SimRng,
         decisions: &mut Vec<OffloadDecision>,
     ) -> BalanceReport {
         let _ = (route, decisions);
-        self.balance(chain, rng)
+        self.balance(chain)
     }
 }
 

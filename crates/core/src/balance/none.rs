@@ -1,7 +1,6 @@
 //! The no-op balancer (the "VP w/o Load Balance" baseline).
 
 use super::{BalanceReport, ChainBalanceInput, LoadBalancer};
-use neofog_types::SimRng;
 
 /// Leaves every node's tasks untouched — Figure 6(b): "absent load
 /// balancing, efficiency is very low".
@@ -13,7 +12,7 @@ impl LoadBalancer for NoBalancer {
         "none"
     }
 
-    fn balance(&mut self, _chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
+    fn balance(&mut self, _chain: &mut ChainBalanceInput) -> BalanceReport {
         BalanceReport::default()
     }
 }
@@ -27,7 +26,7 @@ mod tests {
     fn moves_nothing() {
         let mut input = chain(&[0.0, 10.0, 0.0], &[5, 0, 5], 1000);
         let before = input.clone();
-        let report = NoBalancer.balance(&mut input, &mut SimRng::seed_from(1));
+        let report = NoBalancer.balance(&mut input);
         assert_eq!(input, before);
         assert_eq!(report, BalanceReport::default());
         assert_eq!(NoBalancer.name(), "none");

@@ -8,10 +8,11 @@
 //! cheaper to burn the deficit's compute energy locally over future
 //! slots, to ship the raw data one hop to the next relay, or to ship
 //! it all the way to the sink? Shipping is priced by the front-end
-//! model on each node's [`NodeCapabilities`] row — transmit power over
-//! the rate-dependent transfer time plus idle power over the link
-//! latency — and remote computation on a mains-powered tier (gateway,
-//! cloud) costs the harvesting fleet nothing.
+//! model on each node's [`NodeCapabilities`](crate::node::NodeCapabilities)
+//! row — transmit power over the rate-dependent transfer time plus idle
+//! power over the link latency — and remote computation on a
+//! mains-powered tier (gateway, cloud) costs the harvesting fleet
+//! nothing.
 //!
 //! Tasks only ever move to *alive* balance states (positions with an
 //! awake representative): the simulator rebuilds the pending queues
@@ -20,7 +21,7 @@
 
 use super::{BalanceReport, ChainBalanceInput, LoadBalancer, RouteContext};
 use neofog_net::NO_HOP;
-use neofog_types::{Energy, SimRng};
+use neofog_types::Energy;
 use serde::{Deserialize, Serialize};
 
 /// Where an offload decision sends a node's surplus tasks.
@@ -112,7 +113,7 @@ impl LoadBalancer for OffloadBalancer {
     /// Without a route plan there is nothing to price against: the
     /// plain chain entry point is a no-op. The simulator always calls
     /// [`LoadBalancer::balance_routed`].
-    fn balance(&mut self, _chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
+    fn balance(&mut self, _chain: &mut ChainBalanceInput) -> BalanceReport {
         BalanceReport::default()
     }
 
@@ -124,7 +125,6 @@ impl LoadBalancer for OffloadBalancer {
         &mut self,
         chain: &mut ChainBalanceInput,
         route: &RouteContext<'_>,
-        _rng: &mut SimRng,
         decisions: &mut Vec<OffloadDecision>,
     ) -> BalanceReport {
         let mut report = BalanceReport::default();
@@ -226,14 +226,14 @@ impl LoadBalancer for OffloadBalancer {
 mod tests {
     use super::*;
     use crate::balance::test_util::chain;
-    use crate::node::TierCapabilities;
+    use crate::node::NodeCapabilities;
     use neofog_net::{NodeTier, TopologySpec};
 
     fn route_over<'a>(
         plan_hops: &'a [u32],
         plan_next: &'a [u32],
         tier: &'a [NodeTier],
-        caps: &'a [crate::node::NodeCapabilities],
+        caps: &'a [NodeCapabilities],
     ) -> RouteContext<'a> {
         RouteContext {
             hops_to_sink: plan_hops,
@@ -257,11 +257,10 @@ mod tests {
             NodeTier::Sensor,
             NodeTier::Sensor,
         ];
-        let caps = [TierCapabilities::paper_default().sensor; 4];
+        let caps = [NodeCapabilities::for_tier(NodeTier::Sensor); 4];
         let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier, &caps);
-        let mut rng = SimRng::seed_from(1);
         let mut decisions = Vec::new();
-        let report = OffloadBalancer.balance_routed(&mut input, &route, &mut rng, &mut decisions);
+        let report = OffloadBalancer.balance_routed(&mut input, &route, &mut decisions);
         assert!(report.tasks_moved > 0, "nothing moved");
         assert_eq!(report.transfer_hops, report.tasks_moved * 3);
         let d = decisions
@@ -285,11 +284,10 @@ mod tests {
         input.nodes[1].efficiency *= 4.0;
         let plan = TopologySpec::Chain.build(3).expect("chain");
         let tier = [NodeTier::Sensor; 3];
-        let caps = [TierCapabilities::paper_default().sensor; 3];
+        let caps = [NodeCapabilities::for_tier(NodeTier::Sensor); 3];
         let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier, &caps);
-        let mut rng = SimRng::seed_from(1);
         let mut decisions = Vec::new();
-        let report = OffloadBalancer.balance_routed(&mut input, &route, &mut rng, &mut decisions);
+        let report = OffloadBalancer.balance_routed(&mut input, &route, &mut decisions);
         assert!(report.tasks_moved > 0);
         let d = decisions.iter().find(|d| d.position == 2).expect("decided");
         assert_eq!(d.target, OffloadTarget::Neighbor);
@@ -307,14 +305,13 @@ mod tests {
         let mut input = chain(&[50.0, 50.0], &[1, 1], 1_000);
         let plan = TopologySpec::Chain.build(2).expect("chain");
         let tier = [NodeTier::Sensor; 2];
-        let caps = [TierCapabilities::paper_default().sensor; 2];
+        let caps = [NodeCapabilities::for_tier(NodeTier::Sensor); 2];
         let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier, &caps);
-        let mut rng = SimRng::seed_from(1);
         let mut decisions = Vec::new();
-        let report = OffloadBalancer.balance_routed(&mut input, &route, &mut rng, &mut decisions);
+        let report = OffloadBalancer.balance_routed(&mut input, &route, &mut decisions);
         assert_eq!(report, BalanceReport::default());
         assert!(decisions.is_empty());
-        let plain = OffloadBalancer.balance(&mut input, &mut rng);
+        let plain = OffloadBalancer.balance(&mut input);
         assert_eq!(plain, BalanceReport::default());
     }
 
@@ -326,11 +323,10 @@ mod tests {
         let mut input = chain(&[0.0, 0.0, 0.05], &[0, 0, 4], 2_000_000);
         let plan = TopologySpec::Chain.build(3).expect("chain");
         let tier = [NodeTier::Gateway, NodeTier::Sensor, NodeTier::Sensor];
-        let caps = [TierCapabilities::paper_default().sensor; 3];
+        let caps = [NodeCapabilities::for_tier(NodeTier::Sensor); 3];
         let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier, &caps);
-        let mut rng = SimRng::seed_from(1);
         let mut decisions = Vec::new();
-        let report = OffloadBalancer.balance_routed(&mut input, &route, &mut rng, &mut decisions);
+        let report = OffloadBalancer.balance_routed(&mut input, &route, &mut decisions);
         assert_eq!(report.tasks_moved, 0);
         assert_eq!(input.nodes[2].tasks.len(), 4);
         let d = decisions.iter().find(|d| d.position == 2).expect("decided");

@@ -52,7 +52,7 @@
 //! checks the two agree task for task.
 
 use super::{BalanceReport, ChainBalanceInput, FogTask, LoadBalancer};
-use neofog_types::{Energy, SimRng};
+use neofog_types::Energy;
 use std::cmp::Reverse;
 
 /// Marks a sorted position whose task the fill returned.
@@ -306,7 +306,7 @@ impl LoadBalancer for TreeBalancer {
         "tree"
     }
 
-    fn balance(&mut self, chain: &mut ChainBalanceInput, _rng: &mut SimRng) -> BalanceReport {
+    fn balance(&mut self, chain: &mut ChainBalanceInput) -> BalanceReport {
         let mut report = BalanceReport::default();
         let n = chain.nodes.len();
         self.scratch
@@ -441,7 +441,7 @@ mod tests {
     use super::*;
     use crate::balance::test_util::{chain, completable};
     use crate::balance::NodeBalanceState;
-    use neofog_types::NodeId;
+    use neofog_types::{NodeId, SimRng};
     use proptest::prelude::*;
 
     #[test]
@@ -449,7 +449,7 @@ mod tests {
         // Node 0 has tasks but no energy; node 2 has energy, no tasks.
         let mut input = chain(&[0.1, 5.0, 10.0], &[4, 0, 0], 100_000);
         let before = completable(&input);
-        let report = TreeBalancer::new().balance(&mut input, &mut SimRng::seed_from(1));
+        let report = TreeBalancer::new().balance(&mut input);
         let after = completable(&input);
         assert!(after > before, "balancing should increase completable work");
         assert!(report.tasks_moved > 0);
@@ -460,14 +460,14 @@ mod tests {
         // 4 nodes: coordinator of [0,4) is node 2; kill it.
         let mut input = chain(&[0.1, 20.0, 0.0, 20.0], &[6, 0, 0, 0], 100_000);
         input.nodes[2].alive = false;
-        let report = TreeBalancer::new().balance(&mut input, &mut SimRng::seed_from(1));
+        let report = TreeBalancer::new().balance(&mut input);
         assert!(report.interrupted_regions > 0);
     }
 
     #[test]
     fn respects_capacity() {
         let mut input = chain(&[1.0, 1.0], &[10, 10], 1_000_000);
-        TreeBalancer::new().balance(&mut input, &mut SimRng::seed_from(1));
+        TreeBalancer::new().balance(&mut input);
         // ~1 mJ affords ~398 k instructions; no node should be loaded
         // beyond roughly one task over capacity (tasks are indivisible
         // and unplaceable ones return home).
@@ -491,7 +491,7 @@ mod tests {
                 .iter()
                 .map(super::super::NodeBalanceState::queued_instructions)
                 .sum();
-            TreeBalancer::new().balance(&mut input, &mut SimRng::seed_from(7));
+            TreeBalancer::new().balance(&mut input);
             let after: u64 = input
                 .nodes
                 .iter()
@@ -508,7 +508,7 @@ mod tests {
         // that node 3 wins the capacity race).
         let mut input = chain(&[0.0, 2.0, 2.0, 50.0], &[1, 0, 0, 0], 100_000);
         input.nodes[0].alive = true; // alive but no energy
-        let report = TreeBalancer::new().balance(&mut input, &mut SimRng::seed_from(1));
+        let report = TreeBalancer::new().balance(&mut input);
         assert_eq!(report.tasks_moved, 1);
         assert_eq!(report.transfer_hops, 3);
     }
@@ -668,7 +668,7 @@ mod tests {
                 let mut expected = input.clone();
                 let want = reference::balance(balancer.coordination_cost, &mut expected);
                 let mut got = input;
-                let report = balancer.balance(&mut got, &mut SimRng::seed_from(seed));
+                let report = balancer.balance(&mut got);
                 prop_assert_eq!(report, want, "seed {}", seed);
                 for (i, (g, e)) in got.nodes.iter().zip(&expected.nodes).enumerate() {
                     prop_assert_eq!(&g.tasks, &e.tasks, "seed {} node {}", seed, i);

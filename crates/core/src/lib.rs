@@ -61,7 +61,7 @@ pub use balance::{
     NodeBalanceState, OffloadBalancer, OffloadDecision, OffloadTarget, RouteContext, TreeBalancer,
 };
 pub use metrics::{NetworkMetrics, NodeMetrics};
-pub use node::{NodeCapabilities, NodeConfig, PackageSpec, SystemKind, TierCapabilities};
+pub use node::{NodeCapabilities, NodeConfig, PackageSpec, SystemKind};
 pub use nvd4q::{CloneSet, VirtualizationManager};
 pub use runner::{run_batch, CollectAll, NoProgress, PoolConfig, Progress, Reduce, StderrTicker};
 pub use sim::{

@@ -17,7 +17,7 @@
 //!   direct source-to-load channel; distributed load balancing.
 
 use neofog_energy::FrontEnd;
-use neofog_nvp::ProcessorKind;
+use neofog_net::NodeTier;
 use neofog_rf::RfTimings;
 use neofog_types::{Duration, Energy, Power};
 use serde::{Deserialize, Serialize};
@@ -51,15 +51,6 @@ impl SystemKind {
         }
     }
 
-    /// The processor technology of this design.
-    #[must_use]
-    pub fn processor(self) -> ProcessorKind {
-        match self {
-            SystemKind::NosVp => ProcessorKind::Volatile,
-            _ => ProcessorKind::Nonvolatile,
-        }
-    }
-
     /// The front-end circuit of this design (Figure 5).
     #[must_use]
     pub fn front_end(self) -> FrontEnd {
@@ -81,18 +72,6 @@ impl SystemKind {
         !matches!(self, SystemKind::NosVp)
     }
 
-    /// Per-slot radio session cost: what it takes to bring the radio
-    /// up once this slot before any packet moves.
-    ///
-    /// * VP: 531 ms software initialization.
-    /// * NOS-NVP: 33 ms NVM-restore initialization (Figure 4).
-    /// * NEOFog: 1.74 ms NVRF start + 0.156 ms — the NVRF
-    ///   self-reinitializes with no processor involvement.
-    #[must_use]
-    pub fn tx_session_cost(self, rf: &RfTimings) -> Energy {
-        self.radio_control().session_cost(rf)
-    }
-
     /// The radio-control scheme each design ships with. The VP pays
     /// 531 ms software init plus a 170 ms network rebuild (Figure 4:
     /// "Rebuild RF (channels, join route etc.)", 30 ms-1 s) because it
@@ -105,19 +84,6 @@ impl SystemKind {
             SystemKind::NosNvp => RadioControl::NvmRestore,
             SystemKind::FiosNeoFog => RadioControl::Nvrf,
         }
-    }
-
-    /// Marginal cost of transmitting one `bytes`-byte packet within an
-    /// open session.
-    ///
-    /// * VP: the 255 ms per-transmission software protocol overhead
-    ///   plus airtime.
-    /// * NOS-NVP: one 33 ms NVM-driven transmission per packet plus
-    ///   airtime.
-    /// * NEOFog: the NVRF handling (0.216 ms/byte) plus airtime.
-    #[must_use]
-    pub fn per_packet_tx_cost(self, rf: &RfTimings, bytes: u32) -> Energy {
-        self.radio_control().packet_cost(rf, bytes)
     }
 
     /// Cost of receiving one `bytes`-byte packet (airtime at RX power,
@@ -248,10 +214,10 @@ impl PackageSpec {
 
 /// Per-node platform capabilities, in the spirit of FogLite's
 /// `NODES_CONFIG` rows: how fast the node computes relative to the
-/// paper's sensor MCU, its radio front-end power envelope and its link
-/// rates. One row is derived per topology tier (see
-/// [`TierCapabilities`]); a simulation stores one row per chain
-/// position, which that position's clones share.
+/// paper's sensor MCU, its radio front-end power envelope and its
+/// uplink. The rows are fixed, one per topology tier (see
+/// [`NodeCapabilities::for_tier`]); a simulation stores one row per
+/// chain position, which that position's clones share.
 ///
 /// The radio fields feed the Kryszkiewicz et al. offload energy model
 /// (arXiv:2104.12913): shipping a task's data costs the front-end
@@ -269,8 +235,6 @@ pub struct NodeCapabilities {
     pub max_power: Power,
     /// Uplink rate toward the sink, in Mbit/s.
     pub uplink_mbps: f64,
-    /// Downlink rate from the sink, in Mbit/s.
-    pub downlink_mbps: f64,
     /// Fixed per-transfer latency (association, settling).
     pub base_latency: Duration,
 }
@@ -287,71 +251,46 @@ impl NodeCapabilities {
         let tx = Energy::from_nanojoules(self.max_power.as_watts() * transfer_secs * 1e9);
         tx + self.idle_power * self.base_latency
     }
-}
 
-/// The capability table of a topology: one [`NodeCapabilities`] row
-/// per [`NodeTier`](neofog_net::NodeTier). Chains are all-sensor, so
-/// the sensor row is the only one the paper's goldens ever exercise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TierCapabilities {
-    /// Harvesting sensor nodes (the paper's node; `compute_rate` 1.0).
-    pub sensor: NodeCapabilities,
-    /// Mains-assisted gateways.
-    pub gateway: NodeCapabilities,
-    /// The cloud endpoint.
-    pub cloud: NodeCapabilities,
-}
-
-impl TierCapabilities {
-    /// FogLite-inspired defaults: sensors at the paper's operating
-    /// point on a slow LPWAN-class uplink, gateways 2× faster on a
-    /// broadband link, the cloud 8× faster behind a WAN round-trip.
+    /// The capability row of a tier. FogLite-inspired: sensors at the
+    /// paper's operating point on a slow LPWAN-class uplink, gateways
+    /// 2× faster on a broadband link, the cloud 8× faster behind a WAN
+    /// round-trip. Chains are all-sensor, so the sensor row is the only
+    /// one the paper's goldens ever exercise.
     #[must_use]
-    pub fn paper_default() -> Self {
-        TierCapabilities {
-            sensor: NodeCapabilities {
+    pub fn for_tier(tier: NodeTier) -> Self {
+        match tier {
+            NodeTier::Sensor => NodeCapabilities {
                 compute_rate: 1.0,
                 idle_power: Power::from_milliwatts(4.0),
                 max_power: Power::from_milliwatts(89.1),
                 uplink_mbps: 0.25,
-                downlink_mbps: 0.25,
                 base_latency: Duration::from_millis(2),
             },
-            gateway: NodeCapabilities {
+            NodeTier::Gateway => NodeCapabilities {
                 compute_rate: 2.0,
                 idle_power: Power::from_milliwatts(12.0),
                 max_power: Power::from_milliwatts(180.0),
                 uplink_mbps: 8.0,
-                downlink_mbps: 8.0,
                 base_latency: Duration::from_millis(5),
             },
-            cloud: NodeCapabilities {
+            NodeTier::Cloud => NodeCapabilities {
                 compute_rate: 8.0,
                 idle_power: Power::from_milliwatts(50.0),
                 max_power: Power::from_milliwatts(500.0),
                 uplink_mbps: 100.0,
-                downlink_mbps: 100.0,
                 base_latency: Duration::from_millis(20),
             },
         }
     }
-
-    /// The capability row of a tier.
-    #[must_use]
-    pub fn for_tier(&self, tier: neofog_net::NodeTier) -> NodeCapabilities {
-        match tier {
-            neofog_net::NodeTier::Sensor => self.sensor,
-            neofog_net::NodeTier::Gateway => self.gateway,
-            neofog_net::NodeTier::Cloud => self.cloud,
-        }
-    }
 }
 
-/// Full configuration of one simulated node.
+/// Full configuration of one simulated node: what a run may vary. The
+/// rest of the node is fixed by the simulator: the main capacitor's
+/// 65 % charge efficiency and 5 µW leak, the RTC and the harvester's
+/// 85 % conversion efficiency.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeConfig {
-    /// Which system design the node implements.
-    pub system: SystemKind,
     /// Radio-control scheme (defaults to the system's; override for
     /// ablation studies).
     pub radio: RadioControl,
@@ -360,14 +299,10 @@ pub struct NodeConfig {
     pub front_end: FrontEnd,
     /// Main super-capacitor capacity.
     pub cap_capacity: Energy,
-    /// Main super-capacitor leakage.
-    pub cap_leak: Power,
     /// Initial charge fraction in `[0, 1]`.
     pub initial_charge: f64,
     /// The package/fog-task geometry.
     pub package: PackageSpec,
-    /// Harvester conversion efficiency applied to the ambient trace.
-    pub harvester_efficiency: f64,
 }
 
 impl NodeConfig {
@@ -375,14 +310,11 @@ impl NodeConfig {
     #[must_use]
     pub fn paper_default(system: SystemKind) -> Self {
         NodeConfig {
-            system,
             radio: system.radio_control(),
             front_end: system.front_end(),
             cap_capacity: Energy::from_millijoules(200.0),
-            cap_leak: Power::from_microwatts(5.0),
             initial_charge: 0.5,
             package: PackageSpec::paper_default(),
-            harvester_efficiency: 0.85,
         }
     }
 }
@@ -397,9 +329,9 @@ mod tests {
 
     #[test]
     fn session_costs_order_vp_gg_nvp_gg_neofog() {
-        let vp = SystemKind::NosVp.tx_session_cost(&rf());
-        let nvp = SystemKind::NosNvp.tx_session_cost(&rf());
-        let neo = SystemKind::FiosNeoFog.tx_session_cost(&rf());
+        let vp = SystemKind::NosVp.radio_control().session_cost(&rf());
+        let nvp = SystemKind::NosNvp.radio_control().session_cost(&rf());
+        let neo = SystemKind::FiosNeoFog.radio_control().session_cost(&rf());
         assert!(vp > nvp * 10.0);
         assert!(nvp > neo * 10.0);
         // Absolute anchors: (531+170) ms & 33 ms at 89.1 mW.
@@ -409,10 +341,10 @@ mod tests {
 
     #[test]
     fn per_packet_costs_follow_the_formulas() {
-        let neo = SystemKind::FiosNeoFog.per_packet_tx_cost(&rf(), 8);
+        let neo = SystemKind::FiosNeoFog.radio_control().packet_cost(&rf(), 8);
         // 8 bytes * (0.216 + 0.032) ms * 89.1 mW = 176.8 uJ.
         assert!((neo.as_microjoules() - 176.7744).abs() < 1e-6);
-        let vp = SystemKind::NosVp.per_packet_tx_cost(&rf(), 64);
+        let vp = SystemKind::NosVp.radio_control().packet_cost(&rf(), 64);
         assert!(vp.as_millijoules() > 22.0);
     }
 
@@ -453,14 +385,14 @@ mod tests {
 
     #[test]
     fn ship_energy_follows_the_front_end_model() {
-        let caps = TierCapabilities::paper_default().sensor;
+        let caps = NodeCapabilities::for_tier(NodeTier::Sensor);
         // 64 bytes = 512 bits over 0.25 Mbit/s = 2.048 ms at 89.1 mW,
         // plus 2 ms idle at 4 mW.
         let e = caps.ship_energy(64);
         let expected_uj = 89.1 * 2.048 + 4.0 * 2.0;
         assert!((e.as_microjoules() - expected_uj).abs() < 1e-6);
         // Faster uplinks ship the same bytes cheaper.
-        let cloud = TierCapabilities::paper_default().cloud;
+        let cloud = NodeCapabilities::for_tier(NodeTier::Cloud);
         let scaled = NodeCapabilities {
             uplink_mbps: cloud.uplink_mbps,
             ..caps
@@ -469,13 +401,11 @@ mod tests {
     }
 
     #[test]
-    fn tier_lookup_matches_fields() {
-        let t = TierCapabilities::paper_default();
-        assert_eq!(t.for_tier(neofog_net::NodeTier::Sensor), t.sensor);
-        assert_eq!(t.for_tier(neofog_net::NodeTier::Gateway), t.gateway);
-        assert_eq!(t.for_tier(neofog_net::NodeTier::Cloud), t.cloud);
-        assert!((t.sensor.compute_rate - 1.0).abs() < f64::EPSILON);
-        assert!(t.cloud.compute_rate > t.gateway.compute_rate);
+    fn faster_tiers_compute_faster() {
+        let rate = |tier| NodeCapabilities::for_tier(tier).compute_rate;
+        assert!((rate(NodeTier::Sensor) - 1.0).abs() < f64::EPSILON);
+        assert!(rate(NodeTier::Gateway) > rate(NodeTier::Sensor));
+        assert!(rate(NodeTier::Cloud) > rate(NodeTier::Gateway));
     }
 
     #[test]

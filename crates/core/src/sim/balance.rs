@@ -118,9 +118,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         raw_bytes: parts.cfg.node.package.raw_bytes,
     };
     offload.clear();
-    let report = parts
-        .balancer
-        .balance_routed(chain, &route, parts.rng, offload);
+    let report = parts.balancer.balance_routed(chain, &route, offload);
     bus.emit(&SimEvent::TasksMigrated {
         interrupted: report.interrupted_regions,
         moved: report.tasks_moved,

@@ -24,12 +24,14 @@
 //!   stream, and nothing else. These are touched only when a node
 //!   actually wakes, computes or transmits, so they stay row-oriented
 //!   and are reached through [`NodeView`].
-//! * **Per-run state** — nothing that is the same for every node is
-//!   stored per node. The phases read the run's `NodeConfig`
+//! * **Per-run state** — the phases read the run's `NodeConfig`
 //!   (`SimConfig::node`), each position's capability row
 //!   (`Simulator::caps`) and delivery odds (`Simulator::delivery_odds`)
 //!   directly, and the front-end efficiencies the budget functions take
-//!   are two scalars on [`NodeColumns`].
+//!   are two scalars on [`NodeColumns`]. Some values that are the same
+//!   for every node are still stored per node: each [`SuperCap`]
+//!   carries its capacity, charge efficiency and leak, and each [`Rtc`]
+//!   its capacitor and draw.
 //!
 //! [`NodeColumns::new`] fills the columns in place, position-major:
 //! position `p`'s clones are physical nodes `p·m .. (p+1)·m`, where `m`
@@ -68,6 +70,11 @@ const _: () = assert!(
     std::mem::size_of::<NodeCold>()
         == 2 * std::mem::size_of::<Vec<Package>>() + std::mem::size_of::<SimRng>()
 );
+// Every node carries one of each, so a field added to either grows every
+// sweep that walks its column: a schedule is its interval and phase, an
+// RTC its capacitor, draw and sync state.
+const _: () = assert!(std::mem::size_of::<SlotSchedule>() == 8);
+const _: () = assert!(std::mem::size_of::<Rtc>() == 48);
 
 /// Every node's ambient harvest income for every slot of the window,
 /// slot-major: slot `s`'s incomes are one contiguous row, in node
@@ -296,7 +303,7 @@ impl NodeColumns {
         let node = &cfg.node;
         let cap = SuperCap::new(node.cap_capacity)
             .with_charge_efficiency(0.65)
-            .with_leak(node.cap_leak)
+            .with_leak(Power::from_microwatts(5.0))
             .with_initial(node.cap_capacity * node.initial_charge);
         let rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0));
         let schedule = |i: usize| {

@@ -15,8 +15,9 @@
 //! [`IncomeTable::slot`](super::columns::IncomeTable::slot) hands it,
 //! so harvest never learns the table's layout. It opens each node's
 //! ledger against the stored level entering the slot before booking
-//! anything. The harvester and direct-channel efficiencies come from
-//! the run's `NodeConfig`, so the sweep never touches a cold row.
+//! anything. The harvester efficiency is a constant and the
+//! direct-channel efficiency comes from the run's `NodeConfig`, so the
+//! sweep never touches a cold row.
 
 use super::columns::NodeColumns;
 use super::ctx::SlotCtx;
@@ -25,10 +26,12 @@ use super::ledger::EnergyLedger;
 use super::Simulator;
 use neofog_types::{Energy, Power};
 
+/// Harvester conversion efficiency applied to the ambient trace.
+const HARVESTER_EFFICIENCY: f64 = 0.85;
+
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let (parts, mut bus) = sim.split();
     let slot_len = parts.cfg.slot_len;
-    let harvester_efficiency = parts.cfg.node.harvester_efficiency;
     let fe = parts.cfg.node.front_end;
     let has_direct = fe.has_direct_channel();
     let NodeColumns {
@@ -54,7 +57,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         .enumerate()
     {
         *ledger = EnergyLedger::open(cap.stored());
-        let mut income = *ambient * harvester_efficiency;
+        let mut income = *ambient * HARVESTER_EFFICIENCY;
         ledger.credit_harvest(income);
         *income_power =
             Power::from_milliwatts(income.as_nanojoules() / slot_len.as_micros() as f64);

@@ -75,14 +75,14 @@ use crate::balance::{
     DistributedBalancer, LoadBalancer, NoBalancer, OffloadBalancer, TreeBalancer,
 };
 use crate::metrics::NetworkMetrics;
-use crate::node::{NodeCapabilities, NodeConfig, SystemKind, TierCapabilities};
+use crate::node::{NodeCapabilities, NodeConfig, SystemKind};
 use columns::NodeColumns;
 use ctx::SlotCtx;
 use neofog_energy::{Scenario, TraceGenerator};
 use neofog_net::{RoutePlan, TopologySpec};
 use neofog_nvp::SpendthriftPolicy;
 use neofog_rf::{LossModel, RfTimings};
-use neofog_types::{Duration, NeoFogError, Result, SimRng};
+use neofog_types::{Duration, NeoFogError, Result};
 use observe::EventBus;
 use serde::{Deserialize, Serialize};
 
@@ -154,9 +154,6 @@ pub struct SimConfig {
     /// mesh or sensor/gateway/cloud tiers); compiled once into an
     /// immutable [`RoutePlan`] at construction.
     pub topology: TopologySpec,
-    /// Per-tier node capabilities (compute rate, radio envelope, link
-    /// rates) applied by the node's route-plan tier.
-    pub capabilities: TierCapabilities,
     /// Power-trace scenario.
     pub scenario: Scenario,
     /// Logical chain positions (the paper presents 10).
@@ -182,10 +179,6 @@ pub struct SimConfig {
     pub trace_stored: bool,
     /// Extra channel loss from weather (rainy scenarios).
     pub weather_loss: f64,
-    /// Probability that a wake actually yields a usable sample; heavy
-    /// rain degrades the sensing itself ("total successful sampling
-    /// under the reduced power conditions reduces to 8000", §5.3).
-    pub sampling_success: f64,
     /// Multiplier on every node's power trace (1.0 = the scenario's
     /// nominal level; Figure 9 uses a bright daytime window).
     pub income_scale: f64,
@@ -213,7 +206,6 @@ impl SimConfig {
             system,
             balancer: BalancerKind::default_for(system),
             topology: TopologySpec::default(),
-            capabilities: TierCapabilities::paper_default(),
             scenario,
             positions: 10,
             multiplex: 1,
@@ -227,11 +219,6 @@ impl SimConfig {
                 0.03
             } else {
                 0.0
-            },
-            sampling_success: if scenario == Scenario::MountainRainy {
-                0.55
-            } else {
-                1.0
             },
             income_scale: 1.0,
             events_path: None,
@@ -294,7 +281,6 @@ pub struct Simulator {
     balancer: Box<dyn LoadBalancer>,
     rf: RfTimings,
     spendthrift: SpendthriftPolicy,
-    rng: SimRng,
     /// The counters fold (sole producer of the result metrics).
     metrics: MetricsObserver,
     /// The Figure-9 stored-energy fold, when `trace_stored` is set.
@@ -321,7 +307,6 @@ pub(crate) struct SimParts<'a> {
     pub(crate) balancer: &'a mut Box<dyn LoadBalancer>,
     pub(crate) rf: &'a RfTimings,
     pub(crate) spendthrift: &'a SpendthriftPolicy,
-    pub(crate) rng: &'a mut SimRng,
 }
 
 impl Simulator {
@@ -390,7 +375,7 @@ impl Simulator {
         // resulting next-hop/hops/order tables.
         let route = cfg.topology.build(cfg.positions)?;
         let caps: Vec<NodeCapabilities> = (0..cfg.positions)
-            .map(|p| cfg.capabilities.for_tier(route.tier(p)))
+            .map(|p| NodeCapabilities::for_tier(route.tier(p)))
             .collect();
         // Compound each position's per-hop delivery odds once, so the
         // transmit sweep never raises them to a power.
@@ -418,7 +403,6 @@ impl Simulator {
             balancer,
             rf: RfTimings::paper_default(),
             spendthrift: SpendthriftPolicy::paper_default(),
-            rng: SimRng::seed_from(cfg.seed ^ 0xBA1A),
             metrics,
             trace,
             observers,
@@ -443,9 +427,9 @@ impl Simulator {
     /// next draw of a clone of the node's RNG stream.
     ///
     /// Nothing else is hashed: not the RTC capacitor's charge (which
-    /// changes every slot), the schedule cursor, the simulator-wide
-    /// RNG, the balancer, the slot counter or the observers. Equal
-    /// digests therefore mean equal values in the listed fields only.
+    /// changes every slot), the schedule, the balancer, the slot
+    /// counter or the observers. Equal digests therefore mean equal
+    /// values in the listed fields only.
     ///
     /// `perfbench/pins.txt` pins digests that fold this value, so a
     /// change to what it hashes invalidates every pinned seed.
@@ -570,7 +554,6 @@ impl Simulator {
             balancer,
             rf,
             spendthrift,
-            rng,
             metrics,
             trace,
             observers,
@@ -587,7 +570,6 @@ impl Simulator {
                 balancer,
                 rf,
                 spendthrift,
-                rng,
             },
             EventBus {
                 metrics,

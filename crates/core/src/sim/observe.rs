@@ -44,18 +44,6 @@ impl Observers {
     pub fn push(&mut self, observer: Box<dyn SimObserver>) {
         self.inner.push(observer);
     }
-
-    /// Number of attached observers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no observer is attached (the bus fast-path).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
 }
 
 impl SimObserver for Observers {
@@ -762,10 +750,8 @@ mod tests {
         }
         let count = std::rc::Rc::new(std::cell::RefCell::new(0));
         let mut fan = Observers::default();
-        assert!(fan.is_empty());
         fan.push(Box::new(Counter(count.clone())));
         fan.push(Box::new(Counter(count.clone())));
-        assert_eq!(fan.len(), 2);
         fan.on_event(&SimEvent::SlotBegan { slot: 0 });
         assert_eq!(*count.borrow(), 2);
     }

@@ -18,11 +18,19 @@ use super::columns::{self, NodeColumns};
 use super::ctx::{push_pending, Package, SlotCtx, MAX_PENDING};
 use super::event::{ShedReason, SimEvent};
 use super::Simulator;
+use neofog_energy::Scenario;
 
 pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let (parts, mut bus) = sim.split();
     let system = parts.cfg.system;
-    let sampling_success = parts.cfg.sampling_success;
+    // Heavy rain degrades the sensing itself ("total successful
+    // sampling under the reduced power conditions reduces to 8000",
+    // §5.3): only that fraction of wakes yields a usable sample.
+    let sampling_success = if parts.cfg.scenario == Scenario::MountainRainy {
+        0.55
+    } else {
+        1.0
+    };
     let fog_capable = system.is_fog_capable();
     // Fits: `Simulator::new` bounds it, the node count and the slot
     // count by `u32::MAX`.
@@ -73,7 +81,9 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             );
             *awake = true;
             bus.emit(&SimEvent::NodeWoke { node: i });
-            // Capture one package (rain can spoil the sample).
+            // Capture one package (rain can spoil the sample). The
+            // draw is made even at odds of 1.0, so every node's RNG
+            // stream advances once per wake in every scenario.
             if !cold.rng.chance(sampling_success) {
                 continue;
             }

@@ -180,10 +180,10 @@ fn balancers_allocate_only_on_their_first_call() {
         let mut rng = SimRng::seed_from(22);
         let mut chains: Vec<ChainBalanceInput> = (0..500).map(|_| roomy_chain(&mut rng)).collect();
         let (first, rest) = chains.split_first_mut().expect("chains");
-        balancer.balance(first, &mut rng);
+        balancer.balance(first);
         let before = allocation_count();
         for chain in rest {
-            balancer.balance(chain, &mut rng);
+            balancer.balance(chain);
         }
         let allocs = allocation_count() - before;
         assert_eq!(allocs, 0, "{name}: later calls allocated {allocs} times");

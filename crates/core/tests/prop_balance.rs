@@ -4,7 +4,7 @@ use neofog_core::balance::{
     partition_tasks, ChainBalanceInput, DistributedBalancer, FogTask, LoadBalancer,
     NodeBalanceState, Side, TreeBalancer,
 };
-use neofog_types::{Energy, NodeId, SimRng};
+use neofog_types::{Energy, NodeId};
 use proptest::prelude::*;
 
 fn brute_force(a: &[u64], b: &[u64], max_time: u64) -> u64 {
@@ -77,14 +77,14 @@ proptest! {
     }
 
     #[test]
-    fn balancers_conserve_tasks(chain in arbitrary_chain(), seed in any::<u64>()) {
+    fn balancers_conserve_tasks(chain in arbitrary_chain()) {
         let mut distributed = DistributedBalancer::new(60);
         let mut tree = TreeBalancer::new();
         for balancer in [&mut distributed as &mut dyn LoadBalancer, &mut tree] {
             let mut c = chain.clone();
             let before: u64 = c.nodes.iter().map(neofog_core::NodeBalanceState::queued_instructions).sum();
             let count_before: usize = c.nodes.iter().map(|n| n.tasks.len()).sum();
-            balancer.balance(&mut c, &mut SimRng::seed_from(seed));
+            balancer.balance(&mut c);
             let after: u64 = c.nodes.iter().map(neofog_core::NodeBalanceState::queued_instructions).sum();
             let count_after: usize = c.nodes.iter().map(|n| n.tasks.len()).sum();
             prop_assert_eq!(before, after, "{} lost instructions", balancer.name());
@@ -102,7 +102,7 @@ proptest! {
         };
         let mut c = chain.clone();
         let before = completable(&c);
-        DistributedBalancer::new(60).balance(&mut c, &mut SimRng::seed_from(1));
+        DistributedBalancer::new(60).balance(&mut c);
         // Over-assignment is allowed transiently, but a single round
         // must not reduce what the chain can complete by more than one
         // task's worth of slack.
@@ -112,7 +112,7 @@ proptest! {
     #[test]
     fn dead_nodes_never_receive_tasks(chain in arbitrary_chain()) {
         let mut c = chain.clone();
-        DistributedBalancer::new(60).balance(&mut c, &mut SimRng::seed_from(2));
+        DistributedBalancer::new(60).balance(&mut c);
         for (i, node) in c.nodes.iter().enumerate() {
             if !node.alive {
                 prop_assert_eq!(

@@ -41,7 +41,6 @@ pub struct Rtc {
     cap: SuperCap,
     draw: Power,
     state: SyncState,
-    resyncs: u64,
 }
 
 impl Rtc {
@@ -55,7 +54,6 @@ impl Rtc {
             cap: SuperCap::new(capacity).with_initial(capacity),
             draw: draw.max_zero(),
             state: SyncState::Synchronized,
-            resyncs: 0,
         }
     }
 
@@ -81,12 +79,6 @@ impl Rtc {
     #[must_use]
     pub fn draw(&self) -> Power {
         self.draw
-    }
-
-    /// Number of desync→resync cycles so far.
-    #[must_use]
-    pub fn resync_count(&self) -> u64 {
-        self.resyncs
     }
 
     /// Charges the RTC first (priority), returning the energy left over
@@ -129,7 +121,6 @@ impl Rtc {
         }
         if self.cap.try_discharge(cost).is_ok() {
             self.state = SyncState::Synchronized;
-            self.resyncs += 1;
             true
         } else {
             false
@@ -172,7 +163,7 @@ mod tests {
     }
 
     #[test]
-    fn resync_costs_energy_and_counts() {
+    fn resync_costs_energy() {
         let mut rtc = Rtc::new(mj(1.0), Power::from_milliwatts(10.0));
         rtc.elapse(Duration::from_secs(10)); // dead
         assert!(!rtc.is_synchronized());
@@ -180,7 +171,6 @@ mod tests {
         rtc.charge_with_priority(mj(1.0));
         assert!(rtc.resynchronize(mj(0.3)));
         assert!(rtc.is_synchronized());
-        assert_eq!(rtc.resync_count(), 1);
         assert!((rtc.stored().as_millijoules() - 0.7).abs() < 1e-9);
     }
 
@@ -196,7 +186,6 @@ mod tests {
     fn resync_when_already_synced_is_free() {
         let mut rtc = Rtc::new(mj(1.0), Power::ZERO);
         assert!(rtc.resynchronize(mj(100.0)));
-        assert_eq!(rtc.resync_count(), 0);
         assert_eq!(rtc.stored(), mj(1.0));
     }
 }

@@ -2,26 +2,11 @@
 //!
 //! "The RTC wakes up once in every predefined interval, and as a
 //! result, once synchronized, all the nodes in the network with
-//! sufficient energy would wake up at the same time ... For those
-//! nodes without sufficient energy to wake up at the RTC-indicated
-//! time, they will wake up at a multiple of the RTC-indicated time."
-//! NVD4Q additionally gives each clone a phase offset so the members
-//! of a clone set take turns (Algorithm 2).
+//! sufficient energy would wake up at the same time." NVD4Q
+//! additionally gives each clone a phase offset so the members of a
+//! clone set take turns (Algorithm 2).
 
-use neofog_types::Duration;
 use serde::{Deserialize, Serialize};
-
-/// What a node decides to do at a slot boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WakeDecision {
-    /// Wake and run the activation pipeline.
-    Wake,
-    /// Stay asleep (not this clone's phase / skipping to a multiple).
-    Sleep,
-    /// The node is desynchronized and must re-join before it can use
-    /// slots again.
-    Desynced,
-}
 
 /// A node's slot schedule: wake every `interval` slots at offset
 /// `phase` (Algorithm 2's "pre-set tick count between activations" and
@@ -29,10 +14,8 @@ pub enum WakeDecision {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlotSchedule {
     interval: u32,
+    /// Below `interval`, which `new` checks.
     phase: u32,
-    /// Extra skip factor for energy-poor nodes (wake at a multiple of
-    /// the slot); 1 = every scheduled slot.
-    backoff: u32,
 }
 
 impl SlotSchedule {
@@ -42,7 +25,6 @@ impl SlotSchedule {
         SlotSchedule {
             interval: 1,
             phase: 0,
-            backoff: 1,
         }
     }
 
@@ -55,11 +37,7 @@ impl SlotSchedule {
     pub fn new(interval: u32, phase: u32) -> Self {
         assert!(interval > 0, "interval must be positive");
         assert!(phase < interval, "phase must be below interval");
-        SlotSchedule {
-            interval,
-            phase,
-            backoff: 1,
-        }
+        SlotSchedule { interval, phase }
     }
 
     /// Wake period in slots.
@@ -74,47 +52,10 @@ impl SlotSchedule {
         self.phase
     }
 
-    /// Current backoff multiple.
-    #[must_use]
-    pub fn backoff(&self) -> u32 {
-        self.backoff
-    }
-
-    /// Doubles the wake period temporarily (energy-poor node waking at
-    /// "a multiple of the RTC-indicated time"), capped at 64×.
-    pub fn back_off(&mut self) {
-        self.backoff = (self.backoff * 2).min(64);
-    }
-
-    /// Clears the backoff after a healthy activation.
-    pub fn reset_backoff(&mut self) {
-        self.backoff = 1;
-    }
-
     /// Should a synchronized node wake at absolute slot `slot`?
     #[must_use]
     pub fn wakes_at(&self, slot: u64) -> bool {
-        let effective = u64::from(self.interval) * u64::from(self.backoff);
-        slot % effective == u64::from(self.phase) % effective
-    }
-
-    /// Decision for slot `slot` given synchronization state.
-    #[must_use]
-    pub fn decide(&self, slot: u64, synchronized: bool) -> WakeDecision {
-        if !synchronized {
-            WakeDecision::Desynced
-        } else if self.wakes_at(slot) {
-            WakeDecision::Wake
-        } else {
-            WakeDecision::Sleep
-        }
-    }
-
-    /// Wall-clock time between this schedule's wakes, given the slot
-    /// length.
-    #[must_use]
-    pub fn wake_period(&self, slot_len: Duration) -> Duration {
-        slot_len * u64::from(self.interval) * u64::from(self.backoff)
+        slot % u64::from(self.interval) == u64::from(self.phase)
     }
 }
 
@@ -142,7 +83,7 @@ mod tests {
     fn every_slot_always_wakes() {
         let s = SlotSchedule::every_slot();
         for slot in 0..10 {
-            assert_eq!(s.decide(slot, true), WakeDecision::Wake);
+            assert!(s.wakes_at(slot));
         }
     }
 
@@ -166,36 +107,6 @@ mod tests {
                 assert_eq!(wakes, 100, "n={n}");
             }
         }
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let mut s = SlotSchedule::every_slot();
-        s.back_off();
-        assert_eq!(s.backoff(), 2);
-        let wakes = (0..100u64).filter(|&k| s.wakes_at(k)).count();
-        assert_eq!(wakes, 50);
-        for _ in 0..20 {
-            s.back_off();
-        }
-        assert_eq!(s.backoff(), 64);
-        s.reset_backoff();
-        assert_eq!(s.backoff(), 1);
-    }
-
-    #[test]
-    fn desync_dominates() {
-        let s = SlotSchedule::every_slot();
-        assert_eq!(s.decide(0, false), WakeDecision::Desynced);
-    }
-
-    #[test]
-    fn wake_period_scales() {
-        let s = SlotSchedule::new(3, 1);
-        assert_eq!(
-            s.wake_period(Duration::from_secs(2)),
-            Duration::from_secs(6)
-        );
     }
 
     #[test]
