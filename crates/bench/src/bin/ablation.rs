@@ -1,18 +1,18 @@
 //! The §5 contribution study: remove one NV-exploiting technique at a
 //! time from the full NEOFog node and measure the in-fog impact.
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::experiment::ablation_with;
 use neofog_core::report::render_table;
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
 
 fn main() -> neofog_types::Result<()> {
+    let args = BenchArgs::parse_or_exit(&[Flag::Events, Flag::Seed, Flag::Workers]);
     banner(
         "Technique ablation",
         "§5: 'quantify the contributions due to individual techniques employed'",
     );
-    let args = BenchArgs::parse_or_exit();
     let mut events = args.events.clone();
     for (name, scenario) in [
         ("independent (forest)", Scenario::ForestIndependent),

@@ -1,13 +1,13 @@
 //! Internal calibration probe: prints the key evaluation numbers so
 //! simulator constants can be tuned against the paper's targets.
 
-use neofog_bench::BenchArgs;
+use neofog_bench::{BenchArgs, Flag};
 use neofog_core::experiment::{average_row, figure10_11_with, multiplex_sweep_with};
 use neofog_core::{NoProgress, StderrTicker};
 use neofog_energy::Scenario;
 
 fn main() -> neofog_types::Result<()> {
-    let args = BenchArgs::parse_or_exit();
+    let args = BenchArgs::parse_or_exit(&[Flag::Seed, Flag::Workers]);
     let profiles: Vec<u64> = (1..=5).collect();
     for (name, scenario, targets) in [
         (

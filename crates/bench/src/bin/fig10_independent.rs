@@ -1,18 +1,18 @@
 //! Regenerates Figure 10: wakeups / cloud-processed / fog-processed
 //! packages for five independent (forest) power profiles.
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::experiment::{average_row, figure10_11_with};
 use neofog_core::report::render_table;
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
 
 fn main() -> neofog_types::Result<()> {
+    let args = BenchArgs::parse_or_exit(&[Flag::Events, Flag::Workers]);
     banner(
         "Figure 10 (independent power)",
         "paper avg: VP 13656 wake / 2664 cloud; NVP 12383 / 3236 total (3045 fog); NEOFog 5582 total (5018 fog); ideal 15000",
     );
-    let args = BenchArgs::parse_or_exit();
     let rows_data = figure10_11_with(
         Scenario::ForestIndependent,
         &[1, 2, 3, 4, 5],

@@ -1,18 +1,18 @@
 //! Regenerates Figure 10: wakeups / cloud-processed / fog-processed
 //! packages for five dependent (bridge) power profiles.
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::experiment::{average_row, figure10_11_with};
 use neofog_core::report::render_table;
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
 
 fn main() -> neofog_types::Result<()> {
+    let args = BenchArgs::parse_or_exit(&[Flag::Events, Flag::Workers]);
     banner(
         "Figure 11 (dependent power)",
         "paper avg: VP 13886 wake / 2494 cloud; NVP 12859 / 3439 total (3126 fog); NEOFog 6990 total (6418 fog); ideal 15000",
     );
-    let args = BenchArgs::parse_or_exit();
     let rows_data = figure10_11_with(
         Scenario::BridgeDependent,
         &[1, 2, 3, 4, 5],

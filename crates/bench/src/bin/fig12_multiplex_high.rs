@@ -2,19 +2,19 @@
 //! large-variance environment (sunny mountain) — gains are minimal
 //! because the in-fog processing rate is already high.
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::experiment::multiplex_sweep_with;
 use neofog_core::report::{render_bars, render_table};
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
 
 fn main() -> neofog_types::Result<()> {
+    let args = BenchArgs::parse_or_exit(&[Flag::Events, Flag::Seed, Flag::Workers]);
     banner(
         "Figure 12 (high power, independent variance)",
         "paper: VP w/o LB ~5000; NVP edges ~9500; multiplexing adds little",
     );
     let factors = [1u32, 2, 3, 4, 5];
-    let args = BenchArgs::parse_or_exit();
     let (points, vp) = multiplex_sweep_with(
         Scenario::MountainSunny,
         &factors,

@@ -3,19 +3,19 @@
 //! clone substantially improves in-fog processing, saturating around
 //! 3x as successful sampling tops out near 8000.
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::experiment::multiplex_sweep_with;
 use neofog_core::report::{render_bars, render_table};
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
 
 fn main() -> neofog_types::Result<()> {
+    let args = BenchArgs::parse_or_exit(&[Flag::Events, Flag::Seed, Flag::Workers]);
     banner(
         "Figure 13 (very low power, dependent variation)",
         "paper: VP ~725 in-fog; NEOFog 100% ~2800; ~2X at 300%; saturates (sampling ~8000)",
     );
     let factors = [1u32, 2, 3, 4, 5];
-    let args = BenchArgs::parse_or_exit();
     let (points, vp) = multiplex_sweep_with(
         Scenario::MountainRainy,
         &factors,

@@ -6,7 +6,7 @@
 //! `<path>` as JSONL, so the per-slot phase sequence behind the
 //! timing figures can be inspected line by line.
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::report::render_table;
 use neofog_core::sim::{SimConfig, Simulator};
 use neofog_core::timeline::Timeline;
@@ -14,7 +14,7 @@ use neofog_core::SystemKind;
 use neofog_energy::Scenario;
 
 fn main() -> neofog_types::Result<()> {
-    let args = BenchArgs::parse_or_exit();
+    let args = BenchArgs::parse_or_exit(&[Flag::Events, Flag::Seed, Flag::Slots]);
     banner(
         "Figures 1 & 4",
         "NOS-VP ~646 ms to first byte; NOS-NVP 36 ms; NEOFog radio work ~4 ms",

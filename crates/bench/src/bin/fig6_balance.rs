@@ -88,7 +88,7 @@ fn show(label: &str, balancer: &mut dyn LoadBalancer) {
 }
 
 fn main() {
-    let _args = BenchArgs::parse_or_exit();
+    let _args = BenchArgs::parse_or_exit(&[]);
     banner(
         "Figure 6",
         "distributed balance moves work to energy-rich neighbours; tree \

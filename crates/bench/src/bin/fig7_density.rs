@@ -15,7 +15,7 @@ use neofog_rf::LossModel;
 const PAPER_DENSE_JUMPS: u32 = 25;
 
 fn main() -> neofog_types::Result<()> {
-    let _args = BenchArgs::parse_or_exit();
+    let _args = BenchArgs::parse_or_exit(&[]);
     banner(
         "Figure 7",
         "10 nodes: 9 jumps; naive 4x densification: ~25 jumps; NVD4Q: still 9",

@@ -1,19 +1,19 @@
 //! Regenerates Figure 9: stored energy level of three consecutive
 //! chain nodes under the three systems over a 5-hour daytime window.
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::experiment::figure9_with;
 use neofog_core::report::downsample;
 use neofog_core::StderrTicker;
 
 fn main() -> neofog_types::Result<()> {
+    let args = BenchArgs::parse_or_exit(&[Flag::Events, Flag::Seed, Flag::Workers]);
     banner(
         "Figure 9",
         "the unbalanced VP sits on a high stored level (it has nothing to \
          spend surplus on); balanced NVP systems run the store down by \
          doing fog work",
     );
-    let args = BenchArgs::parse_or_exit();
     let results = figure9_with(
         args.seed.unwrap_or(1),
         args.events.as_deref(),

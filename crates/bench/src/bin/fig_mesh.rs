@@ -12,7 +12,7 @@
 //!
 //! [`RoutePlan`]: neofog_net::RoutePlan
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::report::render_table;
 use neofog_core::sim::{BalancerKind, SimConfig, Simulator};
 use neofog_core::{NetworkMetrics, SystemKind};
@@ -32,12 +32,12 @@ fn base_cfg(seed: u64, slots: u64) -> SimConfig {
 }
 
 fn main() -> neofog_types::Result<()> {
+    let args = BenchArgs::parse_or_exit(&[Flag::Events, Flag::Seed, Flag::Slots]);
     banner(
         "Topology comparison (mesh/tiered route plans + offload balancer)",
         "chain routing is the degenerate case of the route-plan sweep; \
          meshes shorten hop counts, tiers add mains-powered offload targets",
     );
-    let args = BenchArgs::parse_or_exit();
     let seed = args.seed.unwrap_or(7);
     let slots = args.slots.unwrap_or(60);
 

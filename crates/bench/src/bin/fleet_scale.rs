@@ -14,7 +14,7 @@
     reason = "reports its own wall time; the clock never reaches a simulation"
 )]
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::fleet::run_fleet_with;
 use neofog_core::report::render_table;
 use neofog_core::sim::SimConfig;
@@ -23,7 +23,7 @@ use neofog_energy::Scenario;
 use std::time::Instant;
 
 fn main() -> neofog_types::Result<()> {
-    let args = BenchArgs::parse_or_exit();
+    let args = BenchArgs::parse_or_exit(&[Flag::Seed, Flag::Slots, Flag::Chains, Flag::Workers]);
     let chains = args.chains.unwrap_or(100);
     let slots = args.slots.unwrap_or(500);
     let seed = args.seed.unwrap_or(1);

@@ -2,16 +2,16 @@
 //! in NEOFog increase the ability to perform in-fog processing by 4.2X
 //! and can increase this to 8X if virtualized nodes are 3X multiplexed."
 
-use neofog_bench::{banner, BenchArgs};
+use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::experiment::headline_with;
 use neofog_core::StderrTicker;
 
 fn main() -> neofog_types::Result<()> {
+    let args = BenchArgs::parse_or_exit(&[Flag::Seed, Flag::Workers]);
     banner(
         "Headline (abstract)",
         "4.2X in-fog at baseline; 8X at 3X multiplexing",
     );
-    let args = BenchArgs::parse_or_exit();
     let h = headline_with(
         args.seed.unwrap_or(3),
         &args.pool(),

@@ -6,7 +6,7 @@ use neofog_core::report::render_table;
 use neofog_core::table1::deployed_systems;
 
 fn main() {
-    let _args = BenchArgs::parse_or_exit();
+    let _args = BenchArgs::parse_or_exit(&[]);
     banner(
         "Table 1",
         "catalog of deployed EH-WSN systems; all transmit raw data",

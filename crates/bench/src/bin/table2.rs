@@ -10,7 +10,7 @@ use neofog_core::report::{percent, render_table};
 use neofog_workloads::App;
 
 fn main() {
-    let _args = BenchArgs::parse_or_exit();
+    let _args = BenchArgs::parse_or_exit(&[]);
     banner(
         "Table 2",
         "naive vs buffered strategy energy; savings -24.1% .. -57.1%",

@@ -13,11 +13,12 @@
 //! * `--chains <n>` — fleet size for the fleet binaries.
 //! * `--workers <n>` — worker threads for the simulation pool
 //!   (default: every available core).
-//! * `--help` — print the flag reference and exit.
+//! * `--help` — print the binary's flag reference and exit.
 //!
-//! Unknown flags are an error, not a silent no-op: a typo like
-//! `--seeds` aborts the run instead of regenerating the figure with
-//! the default seed.
+//! Each binary names the [`Flag`]s it reads when it parses. A flag it
+//! does not read is an error, like an unknown one, not a silent no-op:
+//! `table2 --slots 10` or a typo like `--seeds` aborts the run instead
+//! of regenerating the figure with the defaults.
 
 // Library code must not panic: one panic aborts a whole fleet sweep.
 // Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
@@ -39,22 +40,75 @@ pub fn banner(what: &str, paper_says: &str) {
     println!("================================================================");
 }
 
-/// The `--help` text every figure/bench binary shares.
-pub const USAGE: &str = "\
-Shared flags (every NEOFog figure/bench binary):
-  --events <path>   stream a JSONL event log of one representative run
-  --seed <u64>      override the binary's default base seed
-  --slots <u64>     override the simulated slot count
-  --chains <n>      fleet size for the fleet binaries
-  --workers <n>     worker threads for the simulation pool
-                    (default: all cores)
-  --help            print this reference and exit";
+/// One flag of the shared vocabulary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--events <path>`.
+    Events,
+    /// `--seed <u64>`.
+    Seed,
+    /// `--slots <u64>`.
+    Slots,
+    /// `--chains <n>`.
+    Chains,
+    /// `--workers <n>`.
+    Workers,
+}
 
-/// The flags shared by every figure/bench binary.
+impl Flag {
+    /// Every shared flag, in usage order.
+    const ALL: [Flag; 5] = [
+        Flag::Events,
+        Flag::Seed,
+        Flag::Slots,
+        Flag::Chains,
+        Flag::Workers,
+    ];
+
+    /// The flag as typed on the command line.
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Events => "--events",
+            Flag::Seed => "--seed",
+            Flag::Slots => "--slots",
+            Flag::Chains => "--chains",
+            Flag::Workers => "--workers",
+        }
+    }
+
+    /// The flag's line in the usage text.
+    fn help(self) -> &'static str {
+        match self {
+            Flag::Events => {
+                "  --events <path>   stream a JSONL event log of one representative run"
+            }
+            Flag::Seed => "  --seed <u64>      override the binary's default base seed",
+            Flag::Slots => "  --slots <u64>     override the simulated slot count",
+            Flag::Chains => "  --chains <n>      fleet size in chains",
+            Flag::Workers => {
+                "  --workers <n>     worker threads for the simulation pool (default: all cores)"
+            }
+        }
+    }
+}
+
+/// The `--help` text of a binary that reads the flags `reads`.
+fn usage(reads: &[Flag]) -> String {
+    let mut text = String::from("Flags:\n");
+    for flag in Flag::ALL.iter().filter(|flag| reads.contains(flag)) {
+        text.push_str(flag.help());
+        text.push('\n');
+    }
+    text.push_str("  --help            print this reference and exit");
+    text
+}
+
+/// The shared flags one binary reads.
 ///
-/// Every field is `None` when the flag was absent, so each binary can
-/// apply its own paper default (e.g. Figure 9 seeds at 1, the ablation
-/// at 2) with `args.seed.unwrap_or(...)`.
+/// Every field is `None` when the flag was absent, or is not one the
+/// binary reads, so each binary can apply its own paper default (e.g.
+/// Figure 9 seeds at 1, the ablation at 2) with
+/// `args.seed.unwrap_or(...)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchArgs {
     /// `--events <path>`: JSONL event-log destination.
@@ -67,20 +121,21 @@ pub struct BenchArgs {
     pub chains: Option<usize>,
     /// `--workers <n>`: simulation pool worker threads.
     pub workers: Option<usize>,
-    /// `--help`: print [`USAGE`] and exit (handled by
+    /// `--help`: print the binary's usage text and exit (handled by
     /// [`BenchArgs::parse_or_exit`]).
     pub help: bool,
 }
 
 impl BenchArgs {
-    /// Parses the shared flag set from an argument iterator (without
-    /// the program name).
+    /// Parses an argument iterator (without the program name) for a
+    /// binary that reads the flags `reads`.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message when a flag is unknown, is
-    /// missing its value, or has a value that does not parse.
-    pub fn parse<I>(args: I) -> Result<Self, String>
+    /// Returns a human-readable message when a flag is unknown or not
+    /// in `reads`, is missing its value, or has a value that does not
+    /// parse.
+    pub fn parse<I>(args: I, reads: &[Flag]) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
     {
@@ -93,39 +148,44 @@ impl BenchArgs {
         }
         let mut out = BenchArgs::default();
         let mut args = args.into_iter();
-        while let Some(flag) = args.next() {
-            match flag.as_str() {
-                "--events" => out.events = Some(value(&mut args, &flag)?),
-                "--seed" => out.seed = Some(number(&value(&mut args, &flag)?, &flag)?),
-                "--slots" => out.slots = Some(number(&value(&mut args, &flag)?, &flag)?),
-                "--chains" => out.chains = Some(number(&value(&mut args, &flag)?, &flag)?),
-                "--workers" => out.workers = Some(number(&value(&mut args, &flag)?, &flag)?),
-                "--help" | "-h" => out.help = true,
-                other => {
-                    return Err(format!(
-                        "unknown flag {other:?} (expected --events, --seed, --slots, \
-                         --chains, --workers or --help)"
-                    ))
-                }
+        while let Some(raw) = args.next() {
+            if raw == "--help" || raw == "-h" {
+                out.help = true;
+                continue;
+            }
+            let Some(flag) = Flag::ALL.into_iter().find(|flag| flag.name() == raw) else {
+                return Err(format!("unknown flag {raw:?}"));
+            };
+            if !reads.contains(&flag) {
+                return Err(format!("this binary does not read {raw}"));
+            }
+            let value = value(&mut args, &raw)?;
+            match flag {
+                Flag::Events => out.events = Some(value),
+                Flag::Seed => out.seed = Some(number(&value, &raw)?),
+                Flag::Slots => out.slots = Some(number(&value, &raw)?),
+                Flag::Chains => out.chains = Some(number(&value, &raw)?),
+                Flag::Workers => out.workers = Some(number(&value, &raw)?),
             }
         }
         Ok(out)
     }
 
-    /// Parses the process arguments, printing the error and exiting
-    /// with status 2 when they do not conform; `--help` prints
-    /// [`USAGE`] and exits 0.
+    /// Parses the process arguments for a binary that reads the flags
+    /// `reads`, printing the error and that binary's usage text (its
+    /// flags) and exiting with status 2 when they do not conform;
+    /// `--help` prints the usage text and exits 0.
     #[must_use]
-    pub fn parse_or_exit() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
+    pub fn parse_or_exit(reads: &[Flag]) -> Self {
+        match Self::parse(std::env::args().skip(1), reads) {
             Ok(args) if args.help => {
-                println!("{USAGE}");
+                println!("{}", usage(reads));
                 std::process::exit(0);
             }
             Ok(args) => args,
             Err(message) => {
                 eprintln!("error: {message}");
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage(reads));
                 std::process::exit(2);
             }
         }
@@ -145,7 +205,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<BenchArgs, String> {
-        BenchArgs::parse(args.iter().map(ToString::to_string))
+        BenchArgs::parse(args.iter().map(ToString::to_string), &Flag::ALL)
     }
 
     #[test]
@@ -183,6 +243,22 @@ mod tests {
     }
 
     #[test]
+    fn flags_the_binary_does_not_read_error_instead_of_being_ignored() {
+        let reads = [Flag::Events, Flag::Workers];
+        let parse = |args: &[&str]| BenchArgs::parse(args.iter().map(ToString::to_string), &reads);
+        for flag in [Flag::Seed, Flag::Slots, Flag::Chains] {
+            let err = parse(&[flag.name(), "9"]).unwrap_err();
+            assert!(err.contains(flag.name()), "{err}");
+            assert!(!usage(&reads).contains(flag.name()));
+        }
+        assert_eq!(parse(&["--workers", "2"]).unwrap().workers, Some(2));
+        // A binary that reads nothing still answers `--help`.
+        let none = BenchArgs::parse(["--help".to_string()], &[]).unwrap();
+        assert!(none.help);
+        assert!(BenchArgs::parse(["--events".to_string()], &[]).is_err());
+    }
+
+    #[test]
     fn missing_or_malformed_values_error() {
         assert!(parse(&["--seed"]).unwrap_err().contains("needs a value"));
         assert!(parse(&["--slots", "many"])
@@ -203,9 +279,15 @@ mod tests {
     }
 
     #[test]
-    fn usage_documents_every_flag() {
-        for flag in ["--events", "--seed", "--slots", "--chains", "--workers"] {
-            assert!(USAGE.contains(flag), "USAGE is missing {flag}");
+    fn usage_documents_every_flag_read() {
+        let text = usage(&Flag::ALL);
+        for flag in Flag::ALL {
+            assert!(
+                text.contains(flag.name()),
+                "usage is missing {}",
+                flag.name()
+            );
         }
+        assert!(text.contains("--help"));
     }
 }

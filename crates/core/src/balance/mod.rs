@@ -26,7 +26,6 @@ pub use none::NoBalancer;
 pub use offload::{OffloadBalancer, OffloadDecision, OffloadTarget};
 pub use tree::TreeBalancer;
 
-use crate::node::NodeCapabilities;
 use neofog_net::NodeTier;
 use neofog_types::{Energy, NodeId};
 use serde::{Deserialize, Serialize};
@@ -119,10 +118,12 @@ pub struct BalanceReport {
     pub interrupted_regions: u64,
 }
 
-/// The immutable routing and capability context a topology-aware
-/// balancer prices decisions against: per-position route-plan slices
-/// (indexed like [`ChainBalanceInput::nodes`]) plus the package
-/// geometry. Built by the simulator's balance phase from its
+/// The immutable routing context a topology-aware balancer prices
+/// decisions against: per-position route-plan slices (indexed like
+/// [`ChainBalanceInput::nodes`]) plus the package geometry. A
+/// position's capabilities are its tier's fixed row,
+/// [`NodeCapabilities::for_tier`](crate::node::NodeCapabilities::for_tier).
+/// Built by the simulator's balance phase from its
 /// [`RoutePlan`](neofog_net::RoutePlan) every round; balancers only
 /// read it.
 #[derive(Debug, Clone, Copy)]
@@ -133,8 +134,6 @@ pub struct RouteContext<'a> {
     pub next_hop: &'a [u32],
     /// Tier of each position.
     pub tier: &'a [NodeTier],
-    /// Capability row of each position.
-    pub caps: &'a [NodeCapabilities],
     /// Raw (unprocessed) package size — what an offloaded task ships.
     pub raw_bytes: u32,
 }
@@ -148,7 +147,7 @@ pub trait LoadBalancer: Send + Sync {
     fn balance(&mut self, chain: &mut ChainBalanceInput) -> BalanceReport;
 
     /// Topology-aware entry point: redistributes tasks with the route
-    /// plan and per-position capabilities in view, appending any
+    /// plan and each position's tier in view, appending any
     /// offload decisions taken. The default ignores the routing
     /// context and defers to [`LoadBalancer::balance`] — the chain
     /// balancers behave (and log) exactly as before — while

@@ -8,9 +8,10 @@
 //! cheaper to burn the deficit's compute energy locally over future
 //! slots, to ship the raw data one hop to the next relay, or to ship
 //! it all the way to the sink? Shipping is priced by the front-end
-//! model on each node's [`NodeCapabilities`](crate::node::NodeCapabilities)
-//! row — transmit power over the rate-dependent transfer time plus idle
-//! power over the link latency — and remote computation on a
+//! model on the capability row of each node's tier
+//! ([`NodeCapabilities::for_tier`]) — transmit power over the
+//! rate-dependent transfer time plus idle power over the link
+//! latency — and remote computation on a
 //! mains-powered tier (gateway, cloud) costs the harvesting fleet
 //! nothing.
 //!
@@ -20,6 +21,7 @@
 //! would silently lose its package.
 
 use super::{BalanceReport, ChainBalanceInput, LoadBalancer, RouteContext};
+use crate::node::NodeCapabilities;
 use neofog_net::NO_HOP;
 use neofog_types::Energy;
 use serde::{Deserialize, Serialize};
@@ -82,7 +84,7 @@ impl OffloadBalancer {
     reason = "`pos` is a route-plan position, and every route table has one row per position"
 )]
 fn ship_cost(route: &RouteContext<'_>, pos: usize, hops: u32) -> Energy {
-    route.caps[pos].ship_energy(route.raw_bytes) * f64::from(hops)
+    NodeCapabilities::for_tier(route.tier[pos]).ship_energy(route.raw_bytes) * f64::from(hops)
 }
 
 /// Remote-compute energy for `instructions` on the state at `target`:
@@ -226,20 +228,17 @@ impl LoadBalancer for OffloadBalancer {
 mod tests {
     use super::*;
     use crate::balance::test_util::chain;
-    use crate::node::NodeCapabilities;
     use neofog_net::{NodeTier, TopologySpec};
 
     fn route_over<'a>(
         plan_hops: &'a [u32],
         plan_next: &'a [u32],
         tier: &'a [NodeTier],
-        caps: &'a [NodeCapabilities],
     ) -> RouteContext<'a> {
         RouteContext {
             hops_to_sink: plan_hops,
             next_hop: plan_next,
             tier,
-            caps,
             raw_bytes: 64,
         }
     }
@@ -257,8 +256,7 @@ mod tests {
             NodeTier::Sensor,
             NodeTier::Sensor,
         ];
-        let caps = [NodeCapabilities::for_tier(NodeTier::Sensor); 4];
-        let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier, &caps);
+        let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier);
         let mut decisions = Vec::new();
         let report = OffloadBalancer.balance_routed(&mut input, &route, &mut decisions);
         assert!(report.tasks_moved > 0, "nothing moved");
@@ -284,8 +282,7 @@ mod tests {
         input.nodes[1].efficiency *= 4.0;
         let plan = TopologySpec::Chain.build(3).expect("chain");
         let tier = [NodeTier::Sensor; 3];
-        let caps = [NodeCapabilities::for_tier(NodeTier::Sensor); 3];
-        let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier, &caps);
+        let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier);
         let mut decisions = Vec::new();
         let report = OffloadBalancer.balance_routed(&mut input, &route, &mut decisions);
         assert!(report.tasks_moved > 0);
@@ -305,8 +302,7 @@ mod tests {
         let mut input = chain(&[50.0, 50.0], &[1, 1], 1_000);
         let plan = TopologySpec::Chain.build(2).expect("chain");
         let tier = [NodeTier::Sensor; 2];
-        let caps = [NodeCapabilities::for_tier(NodeTier::Sensor); 2];
-        let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier, &caps);
+        let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier);
         let mut decisions = Vec::new();
         let report = OffloadBalancer.balance_routed(&mut input, &route, &mut decisions);
         assert_eq!(report, BalanceReport::default());
@@ -323,8 +319,7 @@ mod tests {
         let mut input = chain(&[0.0, 0.0, 0.05], &[0, 0, 4], 2_000_000);
         let plan = TopologySpec::Chain.build(3).expect("chain");
         let tier = [NodeTier::Gateway, NodeTier::Sensor, NodeTier::Sensor];
-        let caps = [NodeCapabilities::for_tier(NodeTier::Sensor); 3];
-        let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier, &caps);
+        let route = route_over(plan.hops_slice(), plan.next_hop_slice(), &tier);
         let mut decisions = Vec::new();
         let report = OffloadBalancer.balance_routed(&mut input, &route, &mut decisions);
         assert_eq!(report.tasks_moved, 0);

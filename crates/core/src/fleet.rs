@@ -171,8 +171,8 @@ impl Reduce for FleetReducer {
     }
 
     fn fold(&mut self, _index: usize, chain: ChainSummary) {
-        // Folds arrive in chain order, so these vectors line up with
-        // the pre-runner serial collection exactly.
+        // Folds arrive in chain order, so these vectors are in chain
+        // order too.
         self.fog.push(chain.fog as f64);
         self.total.push(chain.total as f64);
         self.captured.push(chain.captured as f64);

@@ -216,8 +216,8 @@ impl PackageSpec {
 /// `NODES_CONFIG` rows: how fast the node computes relative to the
 /// paper's sensor MCU, its radio front-end power envelope and its
 /// uplink. The rows are fixed, one per topology tier (see
-/// [`NodeCapabilities::for_tier`]); a simulation stores one row per
-/// chain position, which that position's clones share.
+/// [`NodeCapabilities::for_tier`]); a simulation looks a position's
+/// row up from the position's tier in its route plan.
 ///
 /// The radio fields feed the Kryszkiewicz et al. offload energy model
 /// (arXiv:2104.12913): shipping a task's data costs the front-end

@@ -20,8 +20,7 @@ use std::sync::mpsc::{Receiver, Sender};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Worker threads to spawn; `None` uses the machine's available
-    /// parallelism (the pre-runner 16-thread cap is gone — fleet
-    /// sweeps scale to whatever the host offers).
+    /// parallelism, uncapped.
     pub workers: Option<usize>,
 }
 

@@ -41,10 +41,10 @@ pub trait Reduce {
 /// The order-preserving identity reducer: keeps every full
 /// [`SimResult`], in input order.
 ///
-/// This is what `experiment::run_many` folds with — callers that
+/// This is what `experiment::run_many` folds with — for callers that
 /// genuinely need every result (the figure helpers read several
-/// metrics per run) get the exact pre-runner behavior. Fleet-sized
-/// batches should prefer a summarizing reducer instead.
+/// metrics per run). Fleet-sized batches should prefer a summarizing
+/// reducer instead.
 #[derive(Debug, Default)]
 pub struct CollectAll {
     results: Vec<SimResult>,

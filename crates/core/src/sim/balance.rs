@@ -3,12 +3,12 @@
 //!
 //! The configured intra-chain balancer sees one representative per
 //! logical position (the awake clone, if any — NVD4Q multiplexing
-//! wakes at most one clone per position in a slot) with its
+//! wakes only the on-duty clone of each position) with its
 //! Spendthrift state, reassigns the pending fog tasks, and the
 //! transfer traffic is charged to the awake nodes — via the
 //! balance-credit column: the per-node share is marked on every awake
-//! node, then a second sweep spends marked credits in index order (the
-//! same order the old participant list walked, without allocating it).
+//! node, then a second sweep spends marked credits in index order,
+//! without allocating a participant list.
 //!
 //! The chain snapshot, the representative list and a copy of the
 //! representatives' packages are [`SlotCtx`] scratch, cleared and
@@ -23,6 +23,7 @@ use super::ctx::{rewrite_pending, SlotCtx};
 use super::event::{RadioPurpose, SimEvent};
 use super::{BalancerKind, Simulator};
 use crate::balance::{FogTask, NodeBalanceState, RouteContext};
+use crate::node::NodeCapabilities;
 use neofog_types::{Energy, NodeId};
 
 /// The state of a position with no awake representative: dead to the
@@ -49,6 +50,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let (parts, mut bus) = sim.split();
     let cols = &mut *parts.nodes;
     let SlotCtx {
+        duty,
         chain,
         reps,
         rep_packages,
@@ -59,7 +61,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // One representative per position: the awake clone (if any).
     let multiplex = parts.cfg.multiplex as usize;
     reps.clear();
-    reps.extend((0..parts.cfg.positions).map(|pos| cols.awake_clone(pos, multiplex)));
+    reps.extend((0..parts.cfg.positions).map(|pos| cols.awake_clone(pos, multiplex, *duty)));
     // Rewrite every position's state in full; only the task vectors'
     // capacity carries over from the previous slot.
     chain.nodes.resize_with(reps.len(), || vacant(Vec::new()));
@@ -76,7 +78,8 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let radio = parts.cfg.node.radio;
     let tx_reserve = radio.session_cost(parts.rf)
         + radio.packet_cost(parts.rf, parts.cfg.node.package.processed_bytes) * 2.0;
-    for ((state, rep), caps) in chain.nodes.iter_mut().zip(reps.iter()).zip(parts.caps) {
+    let tiers = parts.route.tier_slice();
+    for ((state, rep), &tier) in chain.nodes.iter_mut().zip(reps.iter()).zip(tiers) {
         let mut tasks = std::mem::take(&mut state.tasks);
         tasks.clear();
         let Some(i) = *rep else {
@@ -89,7 +92,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         tasks.reserve(pending.capacity());
         let level = parts.spendthrift.choose(cols.income_power[i]);
         let spare =
-            columns::budget_available(cols.direct_left[i], cols.discharge_eff, &cols.cap[i])
+            columns::budget_available(cols.direct_left[i], cols.discharge_eff, cols.stored[i])
                 .saturating_sub(tx_reserve);
         let first = rep_packages.len();
         tasks.extend(
@@ -105,7 +108,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             efficiency: level.efficiency(),
             // Tier capability scales execution speed (×1.0 exact on
             // all-sensor chains).
-            throughput: level.throughput() * caps.compute_rate,
+            throughput: level.throughput() * NodeCapabilities::for_tier(tier).compute_rate,
             tasks,
             alive: true,
         };
@@ -113,8 +116,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let route = RouteContext {
         hops_to_sink: parts.route.hops_slice(),
         next_hop: parts.route.next_hop_slice(),
-        tier: parts.route.tier_slice(),
-        caps: parts.caps,
+        tier: tiers,
         raw_bytes: parts.cfg.node.package.raw_bytes,
     };
     offload.clear();
@@ -172,7 +174,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         let direct_eff = cols.direct_eff;
         let discharge_eff = cols.discharge_eff;
         let NodeColumns {
-            cap,
+            stored,
             direct_left,
             awake,
             balance_credit,
@@ -190,9 +192,9 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             // ...then spend marked credits in index order. The share
             // is charged whether or not the spend lands in full — the
             // airtime happened either way.
-            for (i, (((credit, cap), direct_left), ledger)) in balance_credit
+            for (i, (((credit, stored), direct_left), ledger)) in balance_credit
                 .iter_mut()
-                .zip(cap.iter_mut())
+                .zip(stored.iter_mut())
                 .zip(direct_left.iter_mut())
                 .zip(ledgers.iter_mut())
                 .enumerate()
@@ -202,7 +204,14 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                 }
                 let share = *credit;
                 *credit = Energy::ZERO;
-                columns::spend_budget(direct_left, direct_eff, discharge_eff, cap, ledger, share);
+                columns::spend_budget(
+                    direct_left,
+                    direct_eff,
+                    discharge_eff,
+                    stored,
+                    ledger,
+                    share,
+                );
                 bus.emit(&SimEvent::RadioCharged {
                     node: i,
                     energy: share,

@@ -10,7 +10,7 @@
 //! size it needs:
 //!
 //! * **Hot columns** — one `Vec` per field the sweeps read every slot:
-//!   capacitor, RTC, schedule, chain position, NV FIFO depth, the
+//!   capacitor level, RTC level, RTC sync bit, NV FIFO depth, the
 //!   staleness horizon, the per-slot direct pool, wake flags, income
 //!   powers and balance credits. A phase that needs three fields walks
 //!   three dense arrays; everything else stays out of cache.
@@ -24,37 +24,38 @@
 //!   stream, and nothing else. These are touched only when a node
 //!   actually wakes, computes or transmits, so they stay row-oriented
 //!   and are reached through [`NodeView`].
-//! * **Per-run state** — the phases read the run's `NodeConfig`
-//!   (`SimConfig::node`), each position's capability row
-//!   (`Simulator::caps`) and delivery odds (`Simulator::delivery_odds`)
-//!   directly, and the front-end efficiencies the budget functions take
-//!   are two scalars on [`NodeColumns`]. Some values that are the same
-//!   for every node are still stored per node: each [`SuperCap`]
-//!   carries its capacity, charge efficiency and leak, and each [`Rtc`]
-//!   its capacitor and draw.
+//! * **Per-run state** — what is the same for every node is stored
+//!   once. The phases read the run's `NodeConfig` (`SimConfig::node`),
+//!   each position's tier (`RoutePlan::tier_slice`, whose capability
+//!   row is the fixed `NodeCapabilities::for_tier`) and delivery odds
+//!   (`Simulator::delivery_odds`) directly. [`NodeColumns`] holds the
+//!   main capacitor and RTC designs every node carries (their capacity,
+//!   efficiency, leak and draw; a node's columns hold only its levels
+//!   and sync bit) and the two front-end efficiencies the budget
+//!   functions take.
 //!
 //! [`NodeColumns::new`] fills the columns in place, position-major:
 //! position `p`'s clones are physical nodes `p·m .. (p+1)·m`, where `m`
-//! is the multiplex factor. There is no intermediate per-node row.
+//! is the multiplex factor. Neither a node's position nor its wake
+//! schedule is stored: node `i` is clone `i % m` of position `i / m`,
+//! and NVD4Q puts clone `k` on duty in the slots `≡ k (mod m)` (§3.3,
+//! Algorithm 2), so in slot `s` only clone `s % m` of each position
+//! may wake.
 //!
-//! The per-slot energy budget arithmetic that used to live on
-//! `SlotBudget` is preserved *verbatim* as the free functions
-//! [`budget_available`], [`spend_budget`] and [`leftover_income`]
-//! (identical operation order, so event logs stay bit-identical to the
-//! row-oriented pipeline — `tests/columns_goldens.rs` pins that).
+//! The per-slot energy budget arithmetic is the free functions
+//! [`budget_available`], [`spend_budget`] and [`leftover_income`].
+//! Their operation order is part of the contract:
+//! `tests/columns_goldens.rs` pins the event logs bit for bit.
 //!
-//! Balance credits are a column (not a scratch `Vec<usize>` of
-//! participant indices, as the balance phase used to allocate) so the
-//! transfer-cost charging is itself a linear sweep: mark the share on
-//! every awake node, then spend marked credits in index order —
-//! allocation-free and in the same order the participant list gave.
+//! Balance credits are a column so the transfer-cost charging is
+//! itself a linear sweep: mark the share on every awake node, then
+//! spend marked credits in index order, allocation-free.
 
 use super::ctx::{Package, QUEUE_RESERVE};
 use super::ledger::EnergyLedger;
 use super::SimConfig;
 use neofog_energy::{ChainPlan, Rtc, SuperCap};
-use neofog_net::slots::SlotSchedule;
-use neofog_types::{Energy, Power, SimRng};
+use neofog_types::{Energy, Power, Result, SimRng};
 
 /// Rarely-touched per-node state, reached only when a node is active.
 pub(crate) struct NodeCold {
@@ -70,11 +71,6 @@ const _: () = assert!(
     std::mem::size_of::<NodeCold>()
         == 2 * std::mem::size_of::<Vec<Package>>() + std::mem::size_of::<SimRng>()
 );
-// Every node carries one of each, so a field added to either grows every
-// sweep that walks its column: a schedule is its interval and phase, an
-// RTC its capacitor, draw and sync state.
-const _: () = assert!(std::mem::size_of::<SlotSchedule>() == 8);
-const _: () = assert!(std::mem::size_of::<Rtc>() == 48);
 
 /// Every node's ambient harvest income for every slot of the window,
 /// slot-major: slot `s`'s incomes are one contiguous row, in node
@@ -132,20 +128,20 @@ impl IncomeTable {
     }
 }
 
-/// All per-node state, columnar for the hot fields.
+/// All per-node state, columnar for the hot fields, plus the per-run
+/// designs the columns' levels belong to.
 ///
 /// Indices are physical node indices, position-major and clone-minor
 /// (see [`NodeColumns::new`]), so every event keeps its node id.
 pub(crate) struct NodeColumns {
     // --- durable hot columns (persist across slots) ---
-    /// Main super-capacitor per node.
-    pub(crate) cap: Vec<SuperCap>,
-    /// RTC capacitor per node.
-    pub(crate) rtc: Vec<Rtc>,
-    /// Wake schedule cursor per node.
-    pub(crate) schedule: Vec<SlotSchedule>,
-    /// Logical chain position per node.
-    pub(crate) position: Vec<usize>,
+    /// Main capacitor level per node (the capacitor is [`Self::cap`]).
+    pub(crate) stored: Vec<Energy>,
+    /// RTC capacitor level per node (the clock is [`Self::rtc`]).
+    pub(crate) rtc_stored: Vec<Energy>,
+    /// RTC sync bit per node: `true` while the clock tracks the
+    /// network's slot phase, so the node may wake on duty.
+    pub(crate) synced: Vec<bool>,
     /// NV FIFO backlog (`cold[i].pending.len()`), mirrored here so
     /// admission checks and empty-queue skips never touch a cold row.
     /// Kept, like `stale_horizon`, by the `pending` functions in
@@ -163,9 +159,8 @@ pub(crate) struct NodeColumns {
     /// slot of the window `Simulator::advance` cycles through.
     pub(crate) income: IncomeTable,
     // --- per-slot hot columns (see `begin_slot`) ---
-    /// Unspent direct-channel pool (the `SlotBudget::direct_left` of
-    /// the row pipeline; the harvest phase fills it and slot end drains
-    /// it to zero).
+    /// Unspent direct-channel pool (the harvest phase fills it and slot
+    /// end drains it to zero).
     pub(crate) direct_left: Vec<Energy>,
     /// Wake flags (set by the wake phase; cleared by `begin_slot`).
     pub(crate) awake: Vec<bool>,
@@ -174,7 +169,11 @@ pub(crate) struct NodeColumns {
     /// Balance-transfer shares marked on awake nodes, spent and zeroed
     /// in index order by the balance phase's charging sweep.
     pub(crate) balance_credit: Vec<Energy>,
-    // --- per-run scalars ---
+    // --- per-run state ---
+    /// The main capacitor every node carries.
+    pub(crate) cap: SuperCap,
+    /// The real-time clock every node carries.
+    pub(crate) rtc: Rtc,
     /// Direct-channel efficiency (0.0 on systems without one); shared
     /// by every node, so a scalar rather than a column.
     pub(crate) direct_eff: f64,
@@ -187,16 +186,17 @@ pub(crate) struct NodeColumns {
 
 /// A row lens over one node: disjoint `&mut`s into the columns plus
 /// the cold row, so phase code that works a single node (compute,
-/// transmit) reads like the row-oriented pipeline it replaced.
+/// transmit) reads as a per-node function.
 ///
 /// The budget pieces are separate fields (not a sub-struct) on
 /// purpose: the compute phase holds a borrow of `pending`'s head
 /// package across `spend` calls, which is only legal because
-/// `direct_left`/`cap` are sibling fields the borrow checker can split
-/// (`&mut *view.direct_left` while `view.pending`'s head is live).
+/// `direct_left`/`stored` are sibling fields the borrow checker can
+/// split (`&mut *view.direct_left` while `view.pending`'s head is
+/// live).
 pub(crate) struct NodeView<'a> {
-    /// Main super-capacitor.
-    pub(crate) cap: &'a mut SuperCap,
+    /// Main capacitor level.
+    pub(crate) stored: &'a mut Energy,
     /// Fog-processing queue.
     pub(crate) pending: &'a mut Vec<Package>,
     /// Transmission queue.
@@ -207,8 +207,6 @@ pub(crate) struct NodeView<'a> {
     pub(crate) fifo_depth: &'a mut u32,
     /// Unspent direct pool.
     pub(crate) direct_left: &'a mut Energy,
-    /// Logical chain position.
-    pub(crate) position: usize,
     /// Mean income power this slot.
     pub(crate) income_power: Power,
     /// Direct-channel efficiency (per-run scalar).
@@ -220,7 +218,7 @@ pub(crate) struct NodeView<'a> {
 impl NodeView<'_> {
     /// Spendable energy this slot (see [`budget_available`]).
     pub(crate) fn available(&self) -> Energy {
-        budget_available(*self.direct_left, self.discharge_eff, self.cap)
+        budget_available(*self.direct_left, self.discharge_eff, *self.stored)
     }
 
     /// Spends `amount` at the load (see [`spend_budget`]).
@@ -229,32 +227,31 @@ impl NodeView<'_> {
             &mut *self.direct_left,
             self.direct_eff,
             self.discharge_eff,
-            &mut *self.cap,
+            &mut *self.stored,
             ledger,
             amount,
         )
     }
 }
 
-/// Spendable energy: the direct pool plus the capacitor behind the
-/// discharge regulator. Identical to `SlotBudget::available`.
-pub(crate) fn budget_available(direct_left: Energy, discharge_eff: f64, cap: &SuperCap) -> Energy {
-    direct_left + cap.stored() * discharge_eff
+/// Spendable energy: the direct pool plus the capacitor level `stored`
+/// behind the discharge regulator.
+pub(crate) fn budget_available(direct_left: Energy, discharge_eff: f64, stored: Energy) -> Energy {
+    direct_left + stored * discharge_eff
 }
 
 /// Spends `amount` (at the load), direct pool first, booking the
 /// delivery and both channels' conversion losses in the ledger.
-/// Returns false (spending nothing) if unaffordable. Identical
-/// operation order to `SlotBudget::spend`.
+/// Returns false (spending nothing) if unaffordable.
 pub(crate) fn spend_budget(
     direct_left: &mut Energy,
     direct_eff: f64,
     discharge_eff: f64,
-    cap: &mut SuperCap,
+    stored: &mut Energy,
     ledger: &mut EnergyLedger,
     amount: Energy,
 ) -> bool {
-    if budget_available(*direct_left, discharge_eff, cap) < amount {
+    if budget_available(*direct_left, discharge_eff, *stored) < amount {
         return false;
     }
     let from_direct = amount.min(*direct_left);
@@ -268,7 +265,7 @@ pub(crate) fn spend_budget(
     if rest > Energy::ZERO {
         let gross = rest / discharge_eff;
         // Floating-point slack: available() said yes.
-        let drawn = cap.discharge_up_to(gross);
+        let drawn = SuperCap::discharge_up_to(stored, gross);
         debug_assert!(drawn >= gross * 0.999);
         ledger.debit_loss(drawn.saturating_sub(rest));
     }
@@ -277,7 +274,6 @@ pub(crate) fn spend_budget(
 }
 
 /// Drains the direct pool, returning it converted back to raw income.
-/// Identical to `SlotBudget::leftover_income`.
 pub(crate) fn leftover_income(direct_left: &mut Energy, direct_eff: f64) -> Energy {
     let left = *direct_left;
     *direct_left = Energy::ZERO;
@@ -294,32 +290,30 @@ impl NodeColumns {
     /// income table column from `plan`'s trace `i`. Nodes are
     /// position-major: position `p`'s clones are nodes `p·m .. (p+1)·m`
     /// (`m` = `cfg.multiplex`), and node `i` is clone `i % m` of
-    /// position `i / m`. Every node starts from the run's `NodeConfig`,
-    /// with empty queues reserved to [`QUEUE_RESERVE`] and the RNG
-    /// stream `fork(i)` of one construction RNG, forked in node order.
-    pub(crate) fn new(cfg: &SimConfig, plan: &ChainPlan) -> NodeColumns {
-        let m = cfg.multiplex as usize;
-        let n = cfg.positions * m;
+    /// position `i / m`. Every node starts from the run's `NodeConfig`:
+    /// its capacitor at `initial_charge` of the configured capacity
+    /// (65 % charge efficiency, 5 µW leak), its RTC full (5 mJ, 2 µW
+    /// draw) and synchronized, empty queues reserved to
+    /// [`QUEUE_RESERVE`] and the RNG stream `fork(i)` of one
+    /// construction RNG, forked in node order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NeoFogError::InvalidConfig`](neofog_types::NeoFogError::InvalidConfig)
+    /// when `cfg.node.cap_capacity` is not positive and finite.
+    pub(crate) fn new(cfg: &SimConfig, plan: &ChainPlan) -> Result<NodeColumns> {
         let node = &cfg.node;
-        let cap = SuperCap::new(node.cap_capacity)
+        let cap = SuperCap::new(node.cap_capacity)?
             .with_charge_efficiency(0.65)
-            .with_leak(Power::from_microwatts(5.0))
-            .with_initial(node.cap_capacity * node.initial_charge);
-        let rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0));
-        let schedule = |i: usize| {
-            if m == 1 {
-                SlotSchedule::every_slot()
-            } else {
-                SlotSchedule::new(cfg.multiplex, (i % m) as u32)
-            }
-        };
+            .with_leak(Power::from_microwatts(5.0));
+        let rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0))?;
+        let n = cfg.positions * cfg.multiplex as usize;
         let mut rng = SimRng::seed_from(cfg.seed ^ 0x5EED);
         let fe = node.front_end;
-        NodeColumns {
-            cap: vec![cap; n],
-            rtc: vec![rtc; n],
-            schedule: (0..n).map(schedule).collect(),
-            position: (0..n).map(|i| i / m).collect(),
+        Ok(NodeColumns {
+            stored: vec![cap.clamp(node.cap_capacity * node.initial_charge); n],
+            rtc_stored: vec![rtc.capacity(); n],
+            synced: vec![true; n],
             fifo_depth: vec![0; n],
             stale_horizon: vec![u32::MAX; n],
             income: IncomeTable::fold(cfg, plan, n),
@@ -327,6 +321,8 @@ impl NodeColumns {
             awake: vec![false; n],
             income_power: vec![Power::ZERO; n],
             balance_credit: vec![Energy::ZERO; n],
+            cap,
+            rtc,
             direct_eff: if fe.has_direct_channel() {
                 fe.direct_efficiency()
             } else {
@@ -340,7 +336,7 @@ impl NodeColumns {
                     rng: rng.fork(i as u64),
                 })
                 .collect(),
-        }
+        })
     }
 
     /// Number of physical nodes.
@@ -365,13 +361,14 @@ impl NodeColumns {
         self.awake.fill(false);
     }
 
-    /// The first awake clone of position `pos` this slot, if any.
-    /// `multiplex` is the run's clone count per position, so the
-    /// clones are nodes `pos·multiplex .. (pos+1)·multiplex`.
-    pub(crate) fn awake_clone(&self, pos: usize, multiplex: usize) -> Option<usize> {
-        let first = pos * multiplex;
-        let clones = self.awake.get(first..first + multiplex)?;
-        clones.iter().position(|&a| a).map(|k| first + k)
+    /// The awake clone of position `pos` this slot, if any. `multiplex`
+    /// is the run's clone count per position and `duty` the clone on
+    /// duty this slot ([`SlotCtx::duty`](super::ctx::SlotCtx::duty)):
+    /// wake lets no other clone wake, so node `pos·multiplex + duty` is
+    /// the only candidate.
+    pub(crate) fn awake_clone(&self, pos: usize, multiplex: usize, duty: usize) -> Option<usize> {
+        let i = pos * multiplex + duty;
+        self.awake.get(i).filter(|&&awake| awake).map(|_| i)
     }
 
     /// A row lens over node `i` (disjoint `&mut`s; see [`NodeView`]).
@@ -388,13 +385,12 @@ impl NodeColumns {
             "node {i}: FIFO depth mirror out of sync"
         );
         NodeView {
-            cap: &mut self.cap[i],
+            stored: &mut self.stored[i],
             pending: &mut cold.pending,
             outbox: &mut cold.outbox,
             rng: &mut cold.rng,
             fifo_depth,
             direct_left: &mut self.direct_left[i],
-            position: self.position[i],
             income_power: self.income_power[i],
             direct_eff: self.direct_eff,
             discharge_eff: self.discharge_eff,
@@ -441,14 +437,13 @@ mod tests {
     }
 
     #[test]
-    fn budget_math_matches_the_row_pipeline() {
+    fn budget_math_spends_direct_pool_first() {
         // A FIOS-style budget: direct pool plus capacitor.
-        let mut cap = SuperCap::new(Energy::from_millijoules(10.0))
-            .with_initial(Energy::from_millijoules(4.0));
+        let mut stored = Energy::from_millijoules(4.0);
         let mut direct = Energy::from_millijoules(2.0);
         let (d_eff, c_eff) = (0.9, 0.8);
-        let mut ledger = EnergyLedger::open(cap.stored());
-        let avail = budget_available(direct, c_eff, &cap);
+        let mut ledger = EnergyLedger::open(stored);
+        let avail = budget_available(direct, c_eff, stored);
         assert!((avail.as_millijoules() - (2.0 + 4.0 * 0.8)).abs() < 1e-9);
         // Spend beyond the direct pool: remainder is drawn through the
         // discharge regulator at 1/0.8 gross.
@@ -456,23 +451,23 @@ mod tests {
             &mut direct,
             d_eff,
             c_eff,
-            &mut cap,
+            &mut stored,
             &mut ledger,
             Energy::from_millijoules(3.0),
         ));
         assert_eq!(direct, Energy::ZERO);
-        assert!((cap.stored().as_millijoules() - (4.0 - 1.0 / 0.8)).abs() < 1e-9);
+        assert!((stored.as_millijoules() - (4.0 - 1.0 / 0.8)).abs() < 1e-9);
         // Unaffordable spends must not touch anything.
-        let before = cap.stored();
+        let before = stored;
         assert!(!spend_budget(
             &mut direct,
             d_eff,
             c_eff,
-            &mut cap,
+            &mut stored,
             &mut ledger,
             Energy::from_millijoules(100.0),
         ));
-        assert_eq!(cap.stored(), before);
+        assert_eq!(stored, before);
         // NOS leftover (no direct channel) passes through unconverted.
         let mut none = Energy::ZERO;
         assert_eq!(leftover_income(&mut none, 0.0), Energy::ZERO);

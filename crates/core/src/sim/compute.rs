@@ -25,6 +25,7 @@ use super::columns::{self, NodeColumns};
 use super::ctx::{pop_pending_head, rewrite_pending, SlotCtx};
 use super::event::{ShedReason, SimEvent};
 use super::Simulator;
+use crate::node::NodeCapabilities;
 use neofog_types::Power;
 
 #[expect(
@@ -44,13 +45,14 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                 .radio
                 .packet_cost(parts.rf, node.package.processed_bytes);
         // Node `i` implements position `i / multiplex`: repeat each
-        // position's capability row over its clones.
+        // position's tier over its clones.
         let multiplex = parts.cfg.multiplex as usize;
-        let node_caps = parts
-            .caps
+        let node_tiers = parts
+            .route
+            .tier_slice()
             .iter()
-            .flat_map(|caps| std::iter::repeat_n(caps, multiplex));
-        for (i, caps) in node_caps.enumerate() {
+            .flat_map(|&tier| std::iter::repeat_n(tier, multiplex));
+        for (i, tier) in node_tiers.enumerate() {
             if parts.nodes.fifo_depth[i] == 0 {
                 continue;
             }
@@ -72,14 +74,15 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             // The tier capability scales execution speed (gateways and
             // cloud nodes run faster silicon); sensors are 1.0, so the
             // chain goldens see an exact ×1.0 multiply.
-            let (epi, throughput) = (lvl.energy_per_inst, lvl.throughput() * caps.compute_rate);
+            let compute_rate = NodeCapabilities::for_tier(tier).compute_rate;
+            let (epi, throughput) = (lvl.energy_per_inst, lvl.throughput() * compute_rate);
             let mut time_left = (throughput * slot_len.as_secs_f64()) as u64;
             while time_left > 0 {
                 let Some(pkg) = view.pending.first_mut() else {
                     break;
                 };
                 let energy_afford =
-                    columns::budget_available(*view.direct_left, view.discharge_eff, view.cap)
+                    columns::budget_available(*view.direct_left, view.discharge_eff, *view.stored)
                         .saturating_sub(reserve)
                         .as_nanojoules()
                         / epi.as_nanojoules();
@@ -94,7 +97,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                     &mut *view.direct_left,
                     view.direct_eff,
                     view.discharge_eff,
-                    &mut *view.cap,
+                    &mut *view.stored,
                     ledger,
                     cost,
                 ) {
@@ -127,13 +130,14 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // Fits: `Simulator::new` bounds it by `u32::MAX`.
     let fog_len = node.package.fog_instructions as u32;
     let NodeColumns {
-        cap,
+        stored,
         fifo_depth,
         stale_horizon,
         cold,
+        cap,
         ..
     } = &mut *parts.nodes;
-    for (i, (((cap, fifo_depth), horizon), cold)) in cap
+    for (i, (((stored, fifo_depth), horizon), cold)) in stored
         .iter()
         .zip(fifo_depth.iter_mut())
         .zip(stale_horizon.iter_mut())
@@ -168,7 +172,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                 !is_stale
             });
         });
-        if cap.fraction() > 0.6 {
+        if cap.fraction(*stored) > 0.6 {
             cold.outbox.extend_from_slice(stale);
         } else if !stale.is_empty() {
             bus.emit(&SimEvent::PackageShed {

@@ -160,6 +160,11 @@ pub(crate) fn rewrite_pending(
 pub(crate) struct SlotCtx {
     /// Slot index.
     pub(crate) slot: u64,
+    /// The clone index on duty this slot, `slot % multiplex`: NVD4Q
+    /// puts clone `k` of every position on duty in the slots
+    /// `≡ k (mod multiplex)` (§3.3, Algorithm 2), and only on-duty
+    /// clones may wake.
+    pub(crate) duty: usize,
     /// One conservation ledger per node, opened by the harvest sweep
     /// against the stored level entering the slot and settled at slot
     /// end.
@@ -214,12 +219,14 @@ impl SlotCtx {
         ctx
     }
 
-    /// Resets the context for `slot` over `nodes` physical nodes.
-    /// Clears every per-slot vector in place so its capacity survives
-    /// from slot to slot. The ledgers keep their length (the first slot
-    /// sizes them); the harvest sweep opens each one.
-    pub(crate) fn reset(&mut self, nodes: usize, slot: u64) {
+    /// Resets the context for `slot` over `nodes` physical nodes,
+    /// `multiplex` (non-zero) clones per position. Clears every
+    /// per-slot vector in place so its capacity survives from slot to
+    /// slot. The ledgers keep their length (the first slot sizes them);
+    /// the harvest sweep opens each one.
+    pub(crate) fn reset(&mut self, nodes: usize, slot: u64, multiplex: u32) {
         self.slot = slot;
+        self.duty = (slot % u64::from(multiplex)) as usize;
         self.ledgers.resize(nodes, EnergyLedger::open(Energy::ZERO));
         self.forward_bytes.clear();
         self.route_acc.clear();

@@ -9,21 +9,24 @@
 //! nodes get a 90 %-efficient direct pool plus the capacitor, NOS
 //! nodes only the capacitor round-trip.
 //!
-//! The sweep zips exactly the columns it writes (capacitor, RTC,
-//! direct pool, income power, the slot's ledgers) with the slot's row
-//! of the slot-major income table: a dense slice, in node order, that
+//! The sweep zips exactly the columns it writes (capacitor level, RTC
+//! level and sync bit, direct pool, income power, the slot's ledgers)
+//! with the slot's row of the slot-major income table: a dense slice,
+//! in node order, that
 //! [`IncomeTable::slot`](super::columns::IncomeTable::slot) hands it,
 //! so harvest never learns the table's layout. It opens each node's
 //! ledger against the stored level entering the slot before booking
-//! anything. The harvester efficiency is a constant and the
-//! direct-channel efficiency comes from the run's `NodeConfig`, so the
-//! sweep never touches a cold row.
+//! anything. The harvester efficiency is a constant, the direct-channel
+//! efficiency comes from the run's `NodeConfig`, and the capacitor and
+//! RTC designs are stored once per run, so the sweep never touches a
+//! cold row.
 
 use super::columns::NodeColumns;
 use super::ctx::SlotCtx;
 use super::event::SimEvent;
 use super::ledger::EnergyLedger;
 use super::Simulator;
+use neofog_energy::SuperCap;
 use neofog_types::{Energy, Power};
 
 /// Harvester conversion efficiency applied to the ambient trace.
@@ -35,11 +38,14 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let fe = parts.cfg.node.front_end;
     let has_direct = fe.has_direct_channel();
     let NodeColumns {
-        cap,
-        rtc,
+        stored,
+        rtc_stored,
+        synced,
         direct_left,
         income_power,
         income,
+        cap,
+        rtc,
         ..
     } = &mut *parts.nodes;
     let ambients = income.slot(ctx.slot);
@@ -47,34 +53,36 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // every node's income power and open every node's ledger.
     debug_assert_eq!(ambients.len(), income_power.len());
     debug_assert_eq!(ctx.ledgers.len(), income_power.len());
-    for (i, (((((ambient, cap), rtc), direct_left), income_power), ledger)) in ambients
-        .iter()
-        .zip(cap.iter_mut())
-        .zip(rtc.iter_mut())
-        .zip(direct_left.iter_mut())
-        .zip(income_power.iter_mut())
-        .zip(ctx.ledgers.iter_mut())
-        .enumerate()
+    for (i, ((((((ambient, stored), rtc_stored), synced), direct_left), income_power), ledger)) in
+        ambients
+            .iter()
+            .zip(stored.iter_mut())
+            .zip(rtc_stored.iter_mut())
+            .zip(synced.iter_mut())
+            .zip(direct_left.iter_mut())
+            .zip(income_power.iter_mut())
+            .zip(ctx.ledgers.iter_mut())
+            .enumerate()
     {
-        *ledger = EnergyLedger::open(cap.stored());
+        *ledger = EnergyLedger::open(*stored);
         let mut income = *ambient * HARVESTER_EFFICIENCY;
         ledger.credit_harvest(income);
         *income_power =
             Power::from_milliwatts(income.as_nanojoules() / slot_len.as_micros() as f64);
         // RTC priority charging (takes only what it needs; the RTC
         // is a terminal load, so its intake books as consumed).
-        let past_rtc = rtc.tick(income, slot_len);
+        let past_rtc = rtc.tick(rtc_stored, synced, income, slot_len);
         ledger.debit_consumed(income.saturating_sub(past_rtc));
         income = past_rtc;
-        if !rtc.is_synchronized() {
+        if !*synced {
             // Attempt a resynchronization with stored energy. Any
             // draw the RTC cannot bank has left the capacitor for
             // good and books as lost.
-            let drawn = cap.discharge_up_to(Energy::from_millijoules(1.0));
-            let spare = rtc.charge_with_priority(drawn);
+            let drawn = SuperCap::discharge_up_to(stored, Energy::from_millijoules(1.0));
+            let spare = rtc.charge_with_priority(rtc_stored, drawn);
             ledger.debit_consumed(drawn.saturating_sub(spare));
             ledger.debit_loss(spare);
-            rtc.resynchronize(Energy::from_millijoules(0.5));
+            rtc.resynchronize(rtc_stored, synced, Energy::from_millijoules(0.5));
         }
 
         if has_direct {
@@ -84,7 +92,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             // charge path's conversion loss plus any overflow a
             // full capacitor rejects both book as lost. The direct
             // pool column stays at the zero the last slot end left.
-            let receipt = cap.charge_metered(income);
+            let receipt = cap.charge(stored, income);
             ledger.debit_loss(income.saturating_sub(receipt.banked));
             bus.emit(&SimEvent::CapacitorOverflow {
                 node: i,

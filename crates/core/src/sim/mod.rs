@@ -10,34 +10,35 @@
 //! # The phase pipeline
 //!
 //! Every slot clears the wake flags and the simulator-owned scratch
-//! [`SlotCtx`](ctx::SlotCtx) (cleared and refilled in place so the
-//! steady-state loop never allocates) and runs six explicit phase
-//! functions over it, in order — one module per phase:
+//! slot context (cleared and refilled in place so the steady-state
+//! loop never allocates) and runs six explicit phase functions over
+//! it, in order — one private module per phase:
 //!
-//! 1. [`harvest`] — each physical node opens its conservation ledger,
+//! 1. `harvest` — each physical node opens its conservation ledger,
 //!    reads its income for the slot from the table `Simulator::new`
 //!    folded from its power trace, feeds the RTC capacitor first
 //!    (charging priority), then builds its slot energy budget through
 //!    its front-end: FIOS nodes get a 90 %-efficient direct pool plus
 //!    the capacitor; NOS nodes only the capacitor round-trip.
-//! 2. [`wake`] — nodes scheduled this slot (their clone phase) wake if
-//!    they can afford the activation threshold; a scheduled node that
-//!    cannot is a *failure* (energy depletion). Awake nodes capture one
-//!    data package; fog-capable nodes also enqueue its processing task.
-//! 3. [`balance`] — the configured intra-chain balancer redistributes
+//! 2. `wake` — the clones on duty this slot (clone `slot % M` of each
+//!    position, NVD4Q's Algorithm 2) wake if they can afford the
+//!    activation threshold; an on-duty node that cannot is a *failure*
+//!    (energy depletion). Awake nodes capture one data package;
+//!    fog-capable nodes also enqueue its processing task.
+//! 3. `balance` — the configured intra-chain balancer redistributes
 //!    fog tasks among the awake representatives using their Spendthrift
 //!    state; transfer traffic is charged.
-//! 4. [`compute`] — fog tasks execute within each node's time and
+//! 4. `compute` — fog tasks execute within each node's time and
 //!    energy budget (forward progress persists across slots on NVPs);
 //!    stale pending packages are shed or shipped raw.
-//! 5. [`transmit`] — nodes with ready packages open a radio session
+//! 5. `transmit` — nodes with ready packages open a radio session
 //!    (531 ms software init / 33 ms NVM restore / 1.9 ms NVRF start
 //!    depending on the system) and ship packages into the chain mesh;
 //!    the MAC layer relays transparently (§2.3), so delivery succeeds
 //!    with the measured per-hop probability compounded over the hop
 //!    count, and awake intermediate nodes are charged forwarding
 //!    airtime. Packages whose relay duty cannot be paid are lost.
-//! 6. [`slot_end`] — volatile nodes lose their queues; capacitors
+//! 6. `slot_end` — volatile nodes lose their queues; capacitors
 //!    leak; conservation ledgers settle.
 //!
 //! # The event bus
@@ -75,7 +76,7 @@ use crate::balance::{
     DistributedBalancer, LoadBalancer, NoBalancer, OffloadBalancer, TreeBalancer,
 };
 use crate::metrics::NetworkMetrics;
-use crate::node::{NodeCapabilities, NodeConfig, SystemKind};
+use crate::node::{NodeConfig, SystemKind};
 use columns::NodeColumns;
 use ctx::SlotCtx;
 use neofog_energy::{Scenario, TraceGenerator};
@@ -270,10 +271,8 @@ pub struct Simulator {
     /// `cfg.multiplex`.
     nodes: NodeColumns,
     /// Compiled topology: next-hop table, hop counts, sweep order and
-    /// CSR adjacency — the slot loop never does graph search.
+    /// each position's tier — the slot loop never does graph search.
     route: RoutePlan,
-    /// Per-position capability rows, derived from each position's tier.
-    caps: Vec<NodeCapabilities>,
     /// Per-position end-to-end delivery odds: the loss model's per-hop
     /// success compounded over the position's route-plan hops plus the
     /// hop into the sink, computed once at construction.
@@ -302,7 +301,6 @@ pub(crate) struct SimParts<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) nodes: &'a mut NodeColumns,
     pub(crate) route: &'a RoutePlan,
-    pub(crate) caps: &'a [NodeCapabilities],
     pub(crate) delivery_odds: &'a [f64],
     pub(crate) balancer: &'a mut Box<dyn LoadBalancer>,
     pub(crate) rf: &'a RfTimings,
@@ -316,8 +314,9 @@ impl Simulator {
     ///
     /// Returns [`NeoFogError::InvalidConfig`] when the chain is empty
     /// (zero positions or a zero multiplex factor); when the slot
-    /// length or the trace interval is zero; when the physical node
-    /// count (`positions × multiplex`), `slots` or
+    /// length or the trace interval is zero; when the capacitor
+    /// capacity (`node.cap_capacity`) is not positive and finite; when
+    /// the physical node count (`positions × multiplex`), `slots` or
     /// `node.package.fog_instructions` exceeds `u32::MAX` (a queued
     /// package stores each in a `u32`); when a fog-capable system's
     /// packages carry no fog instructions; when the balancer rejects the
@@ -374,9 +373,6 @@ impl Simulator {
         // Compile the topology once: the slot loop only reads the
         // resulting next-hop/hops/order tables.
         let route = cfg.topology.build(cfg.positions)?;
-        let caps: Vec<NodeCapabilities> = (0..cfg.positions)
-            .map(|p| NodeCapabilities::for_tier(route.tier(p)))
-            .collect();
         // Compound each position's per-hop delivery odds once, so the
         // transmit sweep never raises them to a power.
         let loss = LossModel::paper_default().with_weather_loss(cfg.weather_loss);
@@ -387,7 +383,7 @@ impl Simulator {
         // node's trace into the income table as it is synthesized: hot
         // fields and each slot's incomes become dense arrays, queues and
         // RNG streams stay row-oriented.
-        let nodes = NodeColumns::new(&cfg, &plan);
+        let nodes = NodeColumns::new(&cfg, &plan)?;
         let balancer = cfg.balancer.build(cfg.slot_len)?;
         let metrics = MetricsObserver::new(physical);
         let trace = cfg.trace_stored.then(|| StoredTraceObserver::new(physical));
@@ -398,7 +394,6 @@ impl Simulator {
         Ok(Simulator {
             nodes,
             route,
-            caps,
             delivery_odds,
             balancer,
             rf: RfTimings::paper_default(),
@@ -419,17 +414,17 @@ impl Simulator {
     }
 
     /// FNV-1a digest over part of the per-node state. For each physical
-    /// node in index order it hashes: the main capacitor's stored
+    /// node `i` in index order it hashes: the main capacitor's stored
     /// energy, the RTC's sync bit, the FIFO depth, the unspent direct
     /// pool, the wake flag, the income power, the balance credit, the
-    /// position, both queues (length, then each package's origin,
-    /// creation slot, remaining instructions and done flag), and the
-    /// next draw of a clone of the node's RNG stream.
+    /// position (`i / multiplex`), both queues (length, then each
+    /// package's origin, creation slot, remaining instructions and done
+    /// flag), and the next draw of a clone of the node's RNG stream.
     ///
     /// Nothing else is hashed: not the RTC capacitor's charge (which
-    /// changes every slot), the schedule, the balancer, the slot
-    /// counter or the observers. Equal digests therefore mean equal
-    /// values in the listed fields only.
+    /// changes every slot), the balancer, the slot counter or the
+    /// observers. Equal digests therefore mean equal values in the
+    /// listed fields only.
     ///
     /// `perfbench/pins.txt` pins digests that fold this value, so a
     /// change to what it hashes invalidates every pinned seed.
@@ -447,15 +442,16 @@ impl Simulator {
                 hash = (hash ^ u64::from(byte)).wrapping_mul(PRIME);
             }
         };
+        let multiplex = self.cfg.multiplex as usize;
         for i in 0..self.nodes.len() {
-            mix(self.nodes.cap[i].stored().as_nanojoules().to_bits());
-            mix(u64::from(self.nodes.rtc[i].is_synchronized()));
+            mix(self.nodes.stored[i].as_nanojoules().to_bits());
+            mix(u64::from(self.nodes.synced[i]));
             mix(u64::from(self.nodes.fifo_depth[i]));
             mix(self.nodes.direct_left[i].as_nanojoules().to_bits());
             mix(u64::from(self.nodes.awake[i]));
             mix(self.nodes.income_power[i].as_microwatts().to_bits());
             mix(self.nodes.balance_credit[i].as_nanojoules().to_bits());
-            mix(self.nodes.position[i] as u64);
+            mix((i / multiplex) as u64);
             let cold = &self.nodes.cold[i];
             for queue in [&cold.pending, &cold.outbox] {
                 mix(queue.len() as u64);
@@ -531,7 +527,7 @@ impl Simulator {
         // refilled in place, so capacity survives across all slots.
         let mut ctx = std::mem::take(&mut self.scratch);
         self.nodes.begin_slot();
-        ctx.reset(self.nodes.len(), slot);
+        ctx.reset(self.nodes.len(), slot, self.cfg.multiplex);
         self.emit(&SimEvent::SlotBegan { slot });
         harvest::run(self, &mut ctx);
         wake::run(self, &mut ctx);
@@ -549,7 +545,6 @@ impl Simulator {
             cfg,
             nodes,
             route,
-            caps,
             delivery_odds,
             balancer,
             rf,
@@ -565,7 +560,6 @@ impl Simulator {
                 cfg,
                 nodes,
                 route,
-                caps,
                 delivery_odds,
                 balancer,
                 rf,
@@ -732,6 +726,28 @@ mod tests {
         let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
         cfg.slots = 0;
         assert_eq!(build(cfg).run().delivery_ratio(), 0.0);
+    }
+
+    #[test]
+    fn capacitor_sizes_that_are_not_positive_and_finite_are_rejected() {
+        let mj = Energy::from_millijoules;
+        for capacity in [
+            Energy::ZERO,
+            mj(-5.0),
+            mj(f64::INFINITY),
+            mj(1.0) * f64::NAN,
+        ] {
+            let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+            cfg.node.cap_capacity = capacity;
+            assert!(
+                matches!(Simulator::new(cfg), Err(NeoFogError::InvalidConfig { .. })),
+                "capacity {capacity:?} accepted"
+            );
+        }
+        // The smallest positive size still runs.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.node.cap_capacity = Energy::from_nanojoules(f64::MIN_POSITIVE);
+        let _ = build(cfg).run();
     }
 
     #[test]

@@ -91,10 +91,8 @@ impl EventBus<'_> {
 /// Folds the event stream into the paper's [`NetworkMetrics`].
 ///
 /// This is the sole writer of the counters a
-/// [`SimResult`](crate::sim::SimResult) reports; it applies each event
-/// to exactly the counter the pre-pipeline slot loop mutated at the
-/// same program point, so the fold reproduces the original metrics
-/// bit-for-bit.
+/// [`SimResult`](crate::sim::SimResult) reports: each event adds to
+/// exactly one counter, in emission order.
 ///
 /// The fold is columnar: one dense column per [`NodeMetrics`] counter,
 /// so an event touches one cell of the column it counts in, and a

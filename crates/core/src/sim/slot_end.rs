@@ -7,11 +7,9 @@
 //! [`EnergyLedger::settle`](super::ledger::EnergyLedger::settle)
 //! asserts the slot balanced and emits nothing.
 //!
-//! The sweep zips the capacitor, direct-pool and FIFO-depth columns
-//! against the cold rows; the metered capacitor accessors
-//! (`charge_metered`, `leak_metered`) return the deltas the ledger
-//! books, so each element is a single call instead of a
-//! read-mutate-read sequence.
+//! The sweep zips the capacitor-level, direct-pool and FIFO-depth
+//! columns against the cold rows; the capacitor's `charge` and `leak`
+//! return the level deltas the ledger books.
 
 use super::columns::{self, NodeColumns};
 use super::ctx::{clear_pending, SlotCtx};
@@ -27,13 +25,14 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let retains_state = system.retains_state();
     let direct_eff = parts.nodes.direct_eff;
     let NodeColumns {
-        cap,
+        stored,
         fifo_depth,
         direct_left,
         cold,
+        cap,
         ..
     } = &mut *parts.nodes;
-    for (i, ((((cap, direct_left), fifo_depth), cold), ledger)) in cap
+    for (i, ((((stored, direct_left), fifo_depth), cold), ledger)) in stored
         .iter_mut()
         .zip(direct_left.iter_mut())
         .zip(fifo_depth.iter_mut())
@@ -44,14 +43,14 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         // Unspent direct income charges the capacitor.
         let leftover = columns::leftover_income(direct_left, direct_eff);
         if leftover > Energy::ZERO {
-            let receipt = cap.charge_metered(leftover);
+            let receipt = cap.charge(stored, leftover);
             ledger.debit_loss(leftover.saturating_sub(receipt.banked));
             bus.emit(&SimEvent::CapacitorOverflow {
                 node: i,
                 rejected: receipt.rejected,
             });
         }
-        let leaked = cap.leak_metered(slot_len);
+        let leaked = cap.leak(stored, slot_len);
         ledger.debit_leak(leaked);
         if !retains_state {
             // Volatile node: queues evaporate at power-down.
@@ -69,8 +68,8 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         bus.emit(&SimEvent::CapacitorLeaked {
             node: i,
             leaked,
-            stored: cap.stored(),
+            stored: *stored,
         });
-        ledger.settle(i, slot, cap.stored());
+        ledger.settle(i, slot, *stored);
     }
 }

@@ -17,12 +17,9 @@
 //! single sweep over the route plan in decreasing-hop order (children
 //! before parents) turns the marks into per-position duty — every
 //! position relays exactly the bytes sourced at the positions that
-//! route through it. On a chain the sweep order is `[n-1, …, 0]` and
-//! each position has one child, so the sweep *is* the reverse
-//! suffix-sum of the row pipeline: the same `u64` additions in the
-//! same order, bit-identical charged duties. The row pipeline walked
-//! `forward_bytes[0..pos]` per packet, which made a full-chain slot
-//! O(positions²); the sweep is O(positions) on any topology.
+//! route through it, in O(positions) on any topology. On a chain the
+//! sweep order is `[n-1, …, 0]` and each position has one child, so
+//! the sweep is a reverse suffix-sum.
 
 use super::ctx::SlotCtx;
 use super::event::{RadioPurpose, SimEvent};
@@ -39,6 +36,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let package = parts.cfg.node.package;
     let session = radio.session_cost(parts.rf);
     let n_pos = parts.cfg.positions;
+    let multiplex = parts.cfg.multiplex as usize;
     // Per-position relay marks this slot, folded into duty below
     // (scratch vector: capacity persists across slots).
     ctx.forward_bytes.resize(n_pos, 0);
@@ -51,7 +49,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         if view.outbox.is_empty() {
             continue;
         }
-        let position = view.position;
+        let position = i / multiplex;
         // Processed packages first: smaller and more valuable. A
         // stable two-pass partition through the package scratch keeps
         // the relative order `sort_by_key` gave without its potential
@@ -125,9 +123,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // Fold the per-source marks into per-position relay duty with one
     // pass over the route plan's decreasing-hop order (children before
     // parents): a position's duty is the byte total sourced at the
-    // positions routing through it. On a chain this degenerates to the
-    // reverse suffix-sum this pass replaced — same additions, same
-    // order, bit-identical duties.
+    // positions routing through it.
     ctx.route_acc.resize(n_pos, 0);
     for &v in parts.route.order() {
         let v = v as usize;
@@ -141,12 +137,11 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
 
     // Charge forwarding airtime to awake representatives of the
     // relay positions (RX + TX per byte).
-    let multiplex = parts.cfg.multiplex as usize;
     for (pos, &bytes) in ctx.forward_bytes.iter().enumerate() {
         if bytes == 0 {
             continue;
         }
-        let Some(rep) = parts.nodes.awake_clone(pos, multiplex) else {
+        let Some(rep) = parts.nodes.awake_clone(pos, multiplex, ctx.duty) else {
             continue;
         };
         let per_byte =

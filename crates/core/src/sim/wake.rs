@@ -1,18 +1,21 @@
-//! Phase 2 — wake/capture: scheduled nodes pay the activation
-//! threshold and capture one data package.
+//! Phase 2 — wake/capture: on-duty nodes pay the activation threshold
+//! and capture one data package.
 //!
-//! A node scheduled this slot (its clone phase) wakes only if its
-//! budget covers the system's activation threshold; a scheduled node
-//! that cannot afford it is a *failure* (energy depletion). Awake
-//! nodes capture one package (rain can spoil the sample); fog-capable
-//! nodes enqueue its processing task behind a bounded NV admission
-//! buffer, others ship it raw.
+//! NVD4Q puts clone `k` of every position on duty in the slots
+//! `≡ k (mod M)` (§3.3, Algorithm 2), and node `i` is clone `i % M`.
+//! An on-duty node with a synchronized RTC wakes only if its budget
+//! covers the system's activation threshold; one that cannot afford it
+//! is a *failure* (energy depletion). Awake nodes capture one package
+//! (rain can spoil the sample); fog-capable nodes enqueue its
+//! processing task behind a bounded NV admission buffer, others ship it
+//! raw.
 //!
-//! The admission check reads the FIFO-depth column, not the queue
-//! itself, so a node that stays asleep costs this sweep two column
-//! loads (schedule, RTC sync bit) and nothing from its cold row. An
-//! admitted capture lowers the node's staleness horizon to the slot at
-//! which the new package turns stale.
+//! The sweep counts the clone index beside its zip (no division per
+//! node), so a node that stays asleep costs it at most one column load,
+//! the RTC sync bit, and nothing from its cold row. The admission check
+//! reads the FIFO-depth column, not the queue itself. An admitted capture lowers
+//! the node's staleness horizon to the slot at which the new package
+//! turns stale.
 
 use super::columns::{self, NodeColumns};
 use super::ctx::{push_pending, Package, SlotCtx, MAX_PENDING};
@@ -37,10 +40,11 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let fog_instructions = parts.cfg.node.package.fog_instructions as u32;
     let direct_eff = parts.nodes.direct_eff;
     let discharge_eff = parts.nodes.discharge_eff;
+    let multiplex = parts.cfg.multiplex as usize;
+    let duty = ctx.duty;
     let NodeColumns {
-        cap,
-        rtc,
-        schedule,
+        stored,
+        synced,
         fifo_depth,
         stale_horizon,
         direct_left,
@@ -48,16 +52,14 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         cold,
         ..
     } = &mut *parts.nodes;
+    // Node `i`'s clone index, `i % multiplex`, counted beside the zip.
+    let mut clone = 0;
     for (
         i,
-        (
-            (((((((schedule, rtc), cap), direct_left), awake), fifo_depth), stale_horizon), cold),
-            ledger,
-        ),
-    ) in schedule
+        (((((((synced, stored), direct_left), awake), fifo_depth), stale_horizon), cold), ledger),
+    ) in synced
         .iter()
-        .zip(rtc.iter())
-        .zip(cap.iter_mut())
+        .zip(stored.iter_mut())
         .zip(direct_left.iter_mut())
         .zip(awake.iter_mut())
         .zip(fifo_depth.iter_mut())
@@ -66,16 +68,22 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         .zip(ctx.ledgers.iter_mut())
         .enumerate()
     {
-        let scheduled = schedule.wakes_at(ctx.slot) && rtc.is_synchronized();
-        if !scheduled {
+        let on_duty = clone == duty;
+        clone += 1;
+        if clone == multiplex {
+            clone = 0;
+        }
+        if !(on_duty && *synced) {
             continue;
         }
-        if columns::budget_available(*direct_left, discharge_eff, cap) >= system.wake_threshold() {
+        if columns::budget_available(*direct_left, discharge_eff, *stored)
+            >= system.wake_threshold()
+        {
             columns::spend_budget(
                 direct_left,
                 direct_eff,
                 discharge_eff,
-                cap,
+                stored,
                 ledger,
                 system.wake_cost(),
             );

@@ -11,39 +11,12 @@
 //! capacitor. The paper credits this leaner conversion path (together
 //! with NVP checkpointing) with the 2.2×–5× forward-progress advantage
 //! of FIOS over NOS.
+//!
+//! This module names the circuits and their efficiencies; the
+//! simulator's slot energy budget (`neofog-core`'s harvest phase)
+//! applies them.
 
-use crate::supercap::SuperCap;
-use neofog_types::Energy;
 use serde::{Deserialize, Serialize};
-
-/// Where the energy for one demand interval came from.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Delivery {
-    /// Energy delivered straight from the harvester (FIOS only).
-    pub direct: Energy,
-    /// Energy delivered out of the super-capacitor.
-    pub from_cap: Energy,
-    /// Harvest surplus banked into the capacitor this interval.
-    pub banked: Energy,
-    /// Harvest energy rejected because the capacitor was full.
-    pub rejected: Energy,
-    /// Unmet demand (the load browned out for part of the interval).
-    pub shortfall: Energy,
-}
-
-impl Delivery {
-    /// Total energy that reached the load.
-    #[must_use]
-    pub fn delivered(&self) -> Energy {
-        self.direct + self.from_cap
-    }
-
-    /// `true` when the full demand was met.
-    #[must_use]
-    pub fn satisfied(&self) -> bool {
-        self.shortfall <= Energy::ZERO
-    }
-}
 
 /// A node's power front-end: either the NOS single channel or the FIOS
 /// dual channel with direct source-to-load support.
@@ -112,158 +85,5 @@ impl FrontEnd {
                 ..
             } => *discharge_efficiency,
         }
-    }
-
-    /// Routes one interval's harvest toward one interval's demand.
-    ///
-    /// * `harvest` — raw energy income this interval.
-    /// * `demand` — load energy required this interval (at the load).
-    /// * `cap` — the node's storage capacitor, charged/discharged as a
-    ///   side effect.
-    ///
-    /// Single-channel: all harvest is offered to the capacitor, demand
-    /// is served from the capacitor through the discharge path.
-    ///
-    /// Dual-channel: demand is served from the direct channel first;
-    /// surplus harvest is banked; any remaining demand draws on the
-    /// capacitor.
-    pub fn deliver(&self, harvest: Energy, demand: Energy, cap: &mut SuperCap) -> Delivery {
-        let harvest = harvest.max_zero();
-        let demand = demand.max_zero();
-        match *self {
-            FrontEnd::SingleChannel {
-                discharge_efficiency,
-            } => {
-                let rejected = cap.charge(harvest);
-                let banked = harvest.saturating_sub(rejected) * cap.charge_efficiency();
-                let gross_needed = demand / discharge_efficiency;
-                let drawn = cap.discharge_up_to(gross_needed);
-                let delivered = drawn * discharge_efficiency;
-                Delivery {
-                    direct: Energy::ZERO,
-                    from_cap: delivered,
-                    banked,
-                    rejected,
-                    shortfall: demand.saturating_sub(delivered),
-                }
-            }
-            FrontEnd::DualChannel {
-                direct_efficiency,
-                discharge_efficiency,
-            } => {
-                let direct_available = harvest * direct_efficiency;
-                let direct_used = direct_available.min(demand);
-                // Harvest not consumed by the direct path (input side).
-                let surplus_input = if direct_efficiency > 0.0 {
-                    harvest.saturating_sub(direct_used / direct_efficiency)
-                } else {
-                    harvest
-                };
-                let rejected = cap.charge(surplus_input);
-                let banked = surplus_input.saturating_sub(rejected) * cap.charge_efficiency();
-                let remaining = demand.saturating_sub(direct_used);
-                let gross_needed = remaining / discharge_efficiency;
-                let drawn = cap.discharge_up_to(gross_needed);
-                let from_cap = drawn * discharge_efficiency;
-                Delivery {
-                    direct: direct_used,
-                    from_cap,
-                    banked,
-                    rejected,
-                    shortfall: remaining.saturating_sub(from_cap),
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn mj(v: f64) -> Energy {
-        Energy::from_millijoules(v)
-    }
-
-    #[test]
-    fn nos_routes_everything_through_cap() {
-        let fe = FrontEnd::nos();
-        let mut cap = SuperCap::new(mj(100.0)).with_charge_efficiency(0.7);
-        let d = fe.deliver(mj(10.0), mj(2.0), &mut cap);
-        assert_eq!(d.direct, Energy::ZERO);
-        assert!((d.from_cap.as_millijoules() - 2.0).abs() < 1e-9);
-        assert!(d.satisfied());
-        // 10 mJ in at 0.7 → 7 banked, minus 2/0.8 = 2.5 drawn.
-        assert!((cap.stored().as_millijoules() - 4.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fios_serves_demand_directly_first() {
-        let fe = FrontEnd::fios();
-        let mut cap = SuperCap::new(mj(100.0));
-        let d = fe.deliver(mj(10.0), mj(3.0), &mut cap);
-        assert!((d.direct.as_millijoules() - 3.0).abs() < 1e-9);
-        assert_eq!(d.from_cap, Energy::ZERO);
-        // Direct used 3/0.9 = 3.333 of input; surplus 6.667 banked at 1.0.
-        assert!((cap.stored().as_millijoules() - (10.0 - 3.0 / 0.9)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fios_falls_back_to_cap_when_income_short() {
-        let fe = FrontEnd::fios();
-        let mut cap = SuperCap::new(mj(100.0)).with_initial(mj(50.0));
-        let d = fe.deliver(mj(1.0), mj(5.0), &mut cap);
-        assert!((d.direct.as_millijoules() - 0.9).abs() < 1e-9);
-        assert!((d.from_cap.as_millijoules() - 4.1).abs() < 1e-9);
-        assert!(d.satisfied());
-    }
-
-    #[test]
-    fn shortfall_reported_when_both_paths_exhausted() {
-        let fe = FrontEnd::fios();
-        let mut cap = SuperCap::new(mj(1.0)); // empty
-        let d = fe.deliver(mj(1.0), mj(5.0), &mut cap);
-        assert!(!d.satisfied());
-        assert!((d.delivered().as_millijoules() - 0.9).abs() < 1e-9);
-        assert!((d.shortfall.as_millijoules() - 4.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fios_beats_nos_end_to_end_efficiency() {
-        // Same income, same demand pattern: the FIOS node ends with
-        // strictly more total (delivered + stored) energy.
-        let mut nos_cap = SuperCap::new(mj(100.0)).with_charge_efficiency(0.7);
-        let mut fios_cap = SuperCap::new(mj(100.0)).with_charge_efficiency(0.7);
-        let nos = FrontEnd::nos();
-        let fios = FrontEnd::fios();
-        let mut nos_delivered = Energy::ZERO;
-        let mut fios_delivered = Energy::ZERO;
-        for _ in 0..50 {
-            nos_delivered += nos.deliver(mj(2.0), mj(1.0), &mut nos_cap).delivered();
-            fios_delivered += fios.deliver(mj(2.0), mj(1.0), &mut fios_cap).delivered();
-        }
-        let nos_total = nos_delivered + nos_cap.stored();
-        let fios_total = fios_delivered + fios_cap.stored();
-        assert!(
-            fios_total > nos_total,
-            "FIOS {fios_total:?} should beat NOS {nos_total:?}"
-        );
-    }
-
-    #[test]
-    fn rejection_propagates_when_cap_full() {
-        let fe = FrontEnd::nos();
-        let mut cap = SuperCap::new(mj(1.0)).with_initial(mj(1.0));
-        let d = fe.deliver(mj(5.0), Energy::ZERO, &mut cap);
-        assert!(d.rejected > Energy::ZERO);
-    }
-
-    #[test]
-    fn zero_demand_zero_harvest_is_identity() {
-        let fe = FrontEnd::fios();
-        let mut cap = SuperCap::new(mj(1.0)).with_initial(mj(0.5));
-        let d = fe.deliver(Energy::ZERO, Energy::ZERO, &mut cap);
-        assert_eq!(d, Delivery::default());
-        assert_eq!(cap.stored(), mj(0.5));
     }
 }

@@ -17,6 +17,10 @@
 //! * [`rtc`] — the real-time-clock super-capacitor with charging
 //!   priority (§2.1), whose depletion causes network desynchronization.
 //!
+//! A [`SuperCap`] and an [`Rtc`] are designs, shared by every node of a
+//! run; a node's charge is a plain [`Energy`](neofog_types::Energy)
+//! level their operations take by `&mut`.
+//!
 //! # Examples
 //!
 //! ```
@@ -29,9 +33,11 @@
 //!     Duration::from_millis(100),
 //! );
 //! let harvested = trace.energy_between(Duration::ZERO, Duration::from_secs(1));
-//! let mut cap = SuperCap::new(Energy::from_millijoules(100.0));
-//! cap.charge(harvested);
-//! assert!(cap.stored() > Energy::ZERO);
+//! let cap = SuperCap::new(Energy::from_millijoules(100.0))?;
+//! let mut stored = Energy::ZERO;
+//! cap.charge(&mut stored, harvested);
+//! assert!(stored > Energy::ZERO);
+//! # Ok::<(), neofog_types::NeoFogError>(())
 //! ```
 
 // Library code must not panic: one panic aborts a whole fleet sweep.
@@ -51,7 +57,7 @@ pub mod supercap;
 pub mod trace;
 
 pub use curve::EnergyCurve;
-pub use frontend::{Delivery, FrontEnd};
+pub use frontend::FrontEnd;
 pub use rtc::Rtc;
 pub use supercap::{ChargeReceipt, SuperCap};
 pub use trace::{ChainPlan, PowerTrace, Scenario, TraceGenerator};

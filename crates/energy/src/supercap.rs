@@ -5,25 +5,32 @@
 //! that "more than half of the energy income is wasted" to charging
 //! inefficiency and leakage, and that a full capacitor *rejects* further
 //! income — the flat-topped regions of Figure 9.
+//!
+//! Every node of a run carries the same capacitor, which differs from
+//! node to node only in its charge (§2.1). A [`SuperCap`] is therefore
+//! the design alone — capacity, charge efficiency and leak — and a
+//! node's charge is a plain [`Energy`] level that each operation takes
+//! by `&mut`.
 
 use neofog_types::{Duration, Energy, NeoFogError, Power, Result};
 use serde::{Deserialize, Serialize};
 
-/// What one metered charge call did to the store: the observed
+/// What one charge call did to a stored level: the observed
 /// stored-level delta plus the share turned away. See
-/// [`SuperCap::charge_metered`].
+/// [`SuperCap::charge`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChargeReceipt {
     /// Observed stored-level increase (exactly `stored_after −
     /// stored_before`, so callers booking conservation against the
-    /// level never re-read the store).
+    /// level never re-read it).
     pub banked: Energy,
     /// Energy turned away because the capacitor was full (input-side).
     pub rejected: Energy,
 }
 
-/// A super-capacitor with finite capacity, charge-efficiency loss and
-/// self-leakage.
+/// A super-capacitor design with finite capacity, charge-efficiency
+/// loss and self-leakage. It holds no charge: the operations act on a
+/// stored level the caller keeps.
 ///
 /// # Examples
 ///
@@ -31,39 +38,40 @@ pub struct ChargeReceipt {
 /// use neofog_energy::SuperCap;
 /// use neofog_types::Energy;
 ///
-/// let mut cap = SuperCap::new(Energy::from_millijoules(10.0))
-///     .with_charge_efficiency(0.8);
-/// let rejected = cap.charge(Energy::from_millijoules(5.0));
-/// assert_eq!(rejected, Energy::ZERO);
-/// assert_eq!(cap.stored(), Energy::from_millijoules(4.0)); // 80 % banked
+/// let cap = SuperCap::new(Energy::from_millijoules(10.0))?.with_charge_efficiency(0.8);
+/// let mut stored = Energy::ZERO;
+/// let receipt = cap.charge(&mut stored, Energy::from_millijoules(5.0));
+/// assert_eq!(receipt.rejected, Energy::ZERO);
+/// assert_eq!(stored, Energy::from_millijoules(4.0)); // 80 % banked
+/// # Ok::<(), neofog_types::NeoFogError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SuperCap {
     capacity: Energy,
-    stored: Energy,
     charge_efficiency: f64,
     leak_power: Power,
 }
 
 impl SuperCap {
-    /// Creates an empty capacitor with the given capacity, ideal
-    /// charging (efficiency 1.0) and no leakage.
+    /// A capacitor of the given capacity with ideal charging
+    /// (efficiency 1.0) and no leakage.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `capacity` is not positive.
-    #[must_use]
-    pub fn new(capacity: Energy) -> Self {
-        assert!(
-            capacity > Energy::ZERO,
-            "capacitor capacity must be positive"
-        );
-        SuperCap {
+    /// Returns [`NeoFogError::InvalidConfig`] unless `capacity` is
+    /// positive and finite.
+    pub fn new(capacity: Energy) -> Result<Self> {
+        let nj = capacity.as_nanojoules();
+        if !(nj > 0.0 && nj.is_finite()) {
+            return Err(NeoFogError::invalid_config(format!(
+                "capacitor capacity must be positive and finite (got {nj} nJ)"
+            )));
+        }
+        Ok(SuperCap {
             capacity,
-            stored: Energy::ZERO,
             charge_efficiency: 1.0,
             leak_power: Power::ZERO,
-        }
+        })
     }
 
     /// Sets the charging efficiency in `(0, 1]`.
@@ -88,118 +96,62 @@ impl SuperCap {
         self
     }
 
-    /// Sets the initial stored energy (clamped to capacity).
-    #[must_use]
-    pub fn with_initial(mut self, stored: Energy) -> Self {
-        self.stored = stored.max_zero().min(self.capacity);
-        self
-    }
-
     /// Total capacity.
     #[must_use]
     pub fn capacity(&self) -> Energy {
         self.capacity
     }
 
-    /// Currently stored energy.
+    /// `level` clamped into `[0, capacity]`: a stored level this
+    /// capacitor can hold, such as a node's initial charge.
     #[must_use]
-    pub fn stored(&self) -> Energy {
-        self.stored
+    pub fn clamp(&self, level: Energy) -> Energy {
+        level.max_zero().min(self.capacity)
     }
 
-    /// Stored energy as a fraction of capacity in `[0, 1]`.
+    /// `stored` as a fraction of capacity.
     #[must_use]
-    pub fn fraction(&self) -> f64 {
-        self.stored / self.capacity
+    pub fn fraction(&self, stored: Energy) -> f64 {
+        stored / self.capacity
     }
 
-    /// `true` when at (or within float-epsilon of) capacity.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.stored.as_nanojoules() >= self.capacity.as_nanojoules() * (1.0 - 1e-12)
-    }
-
-    /// `true` when empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.stored <= Energy::ZERO
-    }
-
-    /// Charging efficiency.
-    #[must_use]
-    pub fn charge_efficiency(&self) -> f64 {
-        self.charge_efficiency
-    }
-
-    /// Offers `input` energy to the capacitor; banks what fits (after
-    /// conversion loss) and returns the energy **rejected** because the
+    /// Offers `input` energy to a capacitor holding `stored`; banks
+    /// what fits (after conversion loss) and returns the observed
+    /// level increase and the energy **rejected** because the
     /// capacitor was full.
-    pub fn charge(&mut self, input: Energy) -> Energy {
+    pub fn charge(&self, stored: &mut Energy, input: Energy) -> ChargeReceipt {
+        let before = *stored;
         let input = input.max_zero();
         let after_loss = input * self.charge_efficiency;
-        let room = self.capacity.saturating_sub(self.stored);
+        let room = self.capacity.saturating_sub(*stored);
         let banked = after_loss.min(room);
-        self.stored += banked;
+        *stored += banked;
         // A full capacitor turns income away *before* conversion: only
         // the accepted share of the raw input pays conversion loss, so
         // `input = banked / efficiency + rejected`.
         let accepted_input = banked / self.charge_efficiency;
-        input - accepted_input
-    }
-
-    /// Withdraws exactly `amount` for the load.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NeoFogError::EnergyDepleted`] (and leaves the store
-    /// untouched) if less than `amount` is available.
-    pub fn try_discharge(&mut self, amount: Energy) -> Result<()> {
-        let amount = amount.max_zero();
-        if amount > self.stored {
-            return Err(NeoFogError::EnergyDepleted {
-                needed_nj: amount.as_nanojoules() as u64,
-                available_nj: self.stored.as_nanojoules() as u64,
-            });
+        ChargeReceipt {
+            banked: stored.saturating_sub(before),
+            rejected: input - accepted_input,
         }
-        self.stored -= amount;
-        Ok(())
     }
 
-    /// Withdraws up to `amount`, returning how much was actually
-    /// delivered (possibly less than requested).
-    pub fn discharge_up_to(&mut self, amount: Energy) -> Energy {
-        let take = amount.max_zero().min(self.stored);
-        self.stored -= take;
+    /// Withdraws up to `amount` from `stored`, returning how much was
+    /// actually delivered (possibly less than requested). The design
+    /// plays no part: any level can be drawn down.
+    pub fn discharge_up_to(stored: &mut Energy, amount: Energy) -> Energy {
+        let take = amount.max_zero().min(*stored);
+        *stored -= take;
         take
     }
 
-    /// Applies self-leakage over an elapsed interval.
-    pub fn leak(&mut self, elapsed: Duration) {
-        let loss = (self.leak_power * elapsed).min(self.stored);
-        self.stored -= loss;
-    }
-
-    /// [`charge`](SuperCap::charge) plus the observed stored-level
-    /// delta, in one call — the columnar sweeps' alternative to
-    /// reading `stored()` around a `charge()`. The `banked` field is
-    /// the literal level difference (not the internal post-loss
-    /// figure), so ledger arithmetic built on it is bit-identical to
-    /// the read–charge–read sequence it replaces.
-    pub fn charge_metered(&mut self, input: Energy) -> ChargeReceipt {
-        let before = self.stored;
-        let rejected = self.charge(input);
-        ChargeReceipt {
-            banked: self.stored.saturating_sub(before),
-            rejected,
-        }
-    }
-
-    /// [`leak`](SuperCap::leak) plus the observed stored-level drop,
-    /// in one call.
-    pub fn leak_metered(&mut self, elapsed: Duration) -> Energy {
-        let before = self.stored;
-        self.leak(elapsed);
-        before.saturating_sub(self.stored)
+    /// Applies self-leakage over an elapsed interval, returning the
+    /// observed drop of `stored`.
+    pub fn leak(&self, stored: &mut Energy, elapsed: Duration) -> Energy {
+        let before = *stored;
+        let loss = (self.leak_power * elapsed).min(*stored);
+        *stored -= loss;
+        before.saturating_sub(*stored)
     }
 }
 
@@ -211,20 +163,26 @@ mod tests {
         Energy::from_millijoules(v)
     }
 
+    fn cap(capacity_mj: f64) -> SuperCap {
+        SuperCap::new(mj(capacity_mj)).unwrap()
+    }
+
     #[test]
     fn charges_and_discharges() {
-        let mut cap = SuperCap::new(mj(10.0));
-        assert_eq!(cap.charge(mj(4.0)), Energy::ZERO);
-        assert_eq!(cap.stored(), mj(4.0));
-        cap.try_discharge(mj(1.5)).unwrap();
-        assert_eq!(cap.stored(), mj(2.5));
+        let cap = cap(10.0);
+        let mut stored = Energy::ZERO;
+        assert_eq!(cap.charge(&mut stored, mj(4.0)).rejected, Energy::ZERO);
+        assert_eq!(stored, mj(4.0));
+        assert_eq!(SuperCap::discharge_up_to(&mut stored, mj(1.5)), mj(1.5));
+        assert_eq!(stored, mj(2.5));
     }
 
     #[test]
     fn rejects_when_full() {
-        let mut cap = SuperCap::new(mj(1.0));
-        let receipt = cap.charge_metered(mj(3.0));
-        assert!(cap.is_full());
+        let cap = cap(1.0);
+        let mut stored = Energy::ZERO;
+        let receipt = cap.charge(&mut stored, mj(3.0));
+        assert_eq!(stored, cap.capacity());
         assert!((receipt.rejected.as_millijoules() - 2.0).abs() < 1e-9);
         // What was not rejected was banked (ideal charging).
         assert!((receipt.banked.as_millijoules() - 1.0).abs() < 1e-9);
@@ -232,9 +190,10 @@ mod tests {
 
     #[test]
     fn charge_efficiency_takes_its_cut() {
-        let mut cap = SuperCap::new(mj(100.0)).with_charge_efficiency(0.5);
-        let receipt = cap.charge_metered(mj(10.0));
-        assert_eq!(cap.stored(), mj(5.0));
+        let cap = cap(100.0).with_charge_efficiency(0.5);
+        let mut stored = Energy::ZERO;
+        let receipt = cap.charge(&mut stored, mj(10.0));
+        assert_eq!(stored, mj(5.0));
         assert_eq!(receipt.rejected, Energy::ZERO);
         // The conversion loss is what neither banked nor bounced.
         assert_eq!(mj(10.0) - receipt.rejected - receipt.banked, mj(5.0));
@@ -244,64 +203,77 @@ mod tests {
     fn rejection_accounts_for_efficiency() {
         // 0.5 efficiency, capacity 1 mJ, offer 4 mJ: 2 mJ post-loss,
         // 1 mJ banked, 1 mJ internal reject = 2 mJ at the input side.
-        let mut cap = SuperCap::new(mj(1.0)).with_charge_efficiency(0.5);
-        let rejected = cap.charge(mj(4.0));
+        let cap = cap(1.0).with_charge_efficiency(0.5);
+        let mut stored = Energy::ZERO;
+        let rejected = cap.charge(&mut stored, mj(4.0)).rejected;
         assert!((rejected.as_millijoules() - 2.0).abs() < 1e-9);
     }
 
     #[test]
-    fn discharge_fails_cleanly_when_depleted() {
-        let mut cap = SuperCap::new(mj(1.0)).with_initial(mj(0.2));
-        let err = cap.try_discharge(mj(0.5)).unwrap_err();
-        assert!(matches!(err, NeoFogError::EnergyDepleted { .. }));
-        assert_eq!(cap.stored(), mj(0.2), "failed discharge must not drain");
-        assert_eq!(cap.discharge_up_to(mj(0.5)), mj(0.2));
-        assert!(cap.is_empty());
+    fn discharge_delivers_at_most_the_level() {
+        let mut stored = cap(1.0).clamp(mj(0.2));
+        assert_eq!(SuperCap::discharge_up_to(&mut stored, mj(0.5)), mj(0.2));
+        assert_eq!(stored, Energy::ZERO);
     }
 
     #[test]
     fn leakage_drains_over_time() {
-        let mut cap = SuperCap::new(mj(1.0))
-            .with_initial(mj(1.0))
-            .with_leak(Power::from_microwatts(10.0)); // 0.01 mW
-        let leaked = cap.leak_metered(Duration::from_secs(10)); // 0.01 mW * 10 s = 0.1 mJ
-        assert!((cap.stored().as_millijoules() - 0.9).abs() < 1e-9);
+        let cap = cap(1.0).with_leak(Power::from_microwatts(10.0)); // 0.01 mW
+        let mut stored = cap.capacity();
+        let leaked = cap.leak(&mut stored, Duration::from_secs(10)); // 0.01 mW * 10 s = 0.1 mJ
+        assert!((stored.as_millijoules() - 0.9).abs() < 1e-9);
         assert!((leaked.as_millijoules() - 0.1).abs() < 1e-9);
     }
 
     #[test]
     fn leak_never_goes_negative() {
-        let mut cap = SuperCap::new(mj(1.0))
-            .with_initial(mj(0.001))
-            .with_leak(Power::from_milliwatts(100.0));
-        cap.leak(Duration::from_secs(100));
-        assert_eq!(cap.stored(), Energy::ZERO);
+        let cap = cap(1.0).with_leak(Power::from_milliwatts(100.0));
+        let mut stored = mj(0.001);
+        cap.leak(&mut stored, Duration::from_secs(100));
+        assert_eq!(stored, Energy::ZERO);
     }
 
     #[test]
-    fn fraction_and_initial_clamp() {
-        let cap = SuperCap::new(mj(2.0)).with_initial(mj(50.0));
-        assert_eq!(cap.stored(), mj(2.0));
-        assert!((cap.fraction() - 1.0).abs() < 1e-12);
+    fn fraction_and_clamp() {
+        let cap = cap(2.0);
+        assert_eq!(cap.clamp(mj(50.0)), mj(2.0));
+        assert_eq!(cap.clamp(mj(-1.0)), Energy::ZERO);
+        assert!((cap.fraction(mj(2.0)) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn capacity_must_be_positive_and_finite() {
+        for bad in [
+            Energy::ZERO,
+            mj(-1.0),
+            mj(f64::INFINITY),
+            mj(1.0) * f64::NAN,
+        ] {
+            assert!(
+                matches!(SuperCap::new(bad), Err(NeoFogError::InvalidConfig { .. })),
+                "{bad:?} accepted"
+            );
+        }
     }
 
     #[test]
     fn ledger_balances() {
-        let mut cap = SuperCap::new(mj(5.0))
+        let cap = cap(5.0)
             .with_charge_efficiency(0.8)
             .with_leak(Power::from_microwatts(10.0));
+        let mut stored = Energy::ZERO;
         let mut banked = Energy::ZERO;
         for input in [mj(4.0), mj(4.0)] {
-            let receipt = cap.charge_metered(input);
+            let receipt = cap.charge(&mut stored, input);
             // Only the accepted share of the input pays conversion loss.
             let expected = (input - receipt.rejected) * 0.8;
             assert!((receipt.banked - expected).as_nanojoules().abs() < 1e-6);
             banked += receipt.banked;
         }
-        let delivered = cap.discharge_up_to(mj(2.0));
-        let leaked = cap.leak_metered(Duration::from_secs(1));
+        let delivered = SuperCap::discharge_up_to(&mut stored, mj(2.0));
+        let leaked = cap.leak(&mut stored, Duration::from_secs(1));
         assert!(leaked > Energy::ZERO);
         let accounted = banked - delivered - leaked;
-        assert!((accounted.as_nanojoules() - cap.stored().as_nanojoules()).abs() < 1e-6);
+        assert!((accounted.as_nanojoules() - stored.as_nanojoules()).abs() < 1e-6);
     }
 }

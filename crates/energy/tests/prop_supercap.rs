@@ -1,7 +1,7 @@
 //! Property tests: super-capacitor invariants under arbitrary
 //! operation sequences.
 
-use neofog_energy::SuperCap;
+use neofog_energy::{Rtc, SuperCap};
 use neofog_types::{Duration, Energy, Power};
 use proptest::prelude::*;
 
@@ -20,36 +20,44 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
+fn mj(v: f64) -> Energy {
+    Energy::from_millijoules(v)
+}
+
 proptest! {
     #[test]
     fn stored_stays_within_bounds(ops in prop::collection::vec(op(), 1..200)) {
-        let mut cap = SuperCap::new(Energy::from_millijoules(100.0))
+        let cap = SuperCap::new(mj(100.0))
+            .unwrap()
             .with_charge_efficiency(0.7)
             .with_leak(Power::from_microwatts(10.0));
+        let mut stored = Energy::ZERO;
         for o in ops {
             match o {
-                Op::Charge(mj) => { cap.charge(Energy::from_millijoules(mj)); }
-                Op::Discharge(mj) => { cap.discharge_up_to(Energy::from_millijoules(mj)); }
-                Op::Leak(s) => cap.leak(Duration::from_secs(s)),
+                Op::Charge(v) => { cap.charge(&mut stored, mj(v)); }
+                Op::Discharge(v) => { SuperCap::discharge_up_to(&mut stored, mj(v)); }
+                Op::Leak(s) => { cap.leak(&mut stored, Duration::from_secs(s)); }
             }
-            prop_assert!(cap.stored() >= Energy::ZERO);
-            prop_assert!(cap.stored() <= cap.capacity() * (1.0 + 1e-12));
+            prop_assert!(stored >= Energy::ZERO);
+            prop_assert!(stored <= cap.capacity() * (1.0 + 1e-12));
         }
     }
 
     #[test]
     fn energy_ledger_always_balances(ops in prop::collection::vec(op(), 1..200)) {
         let eff = 0.8;
-        let mut cap = SuperCap::new(Energy::from_millijoules(100.0))
+        let cap = SuperCap::new(mj(100.0))
+            .unwrap()
             .with_charge_efficiency(eff)
             .with_leak(Power::from_microwatts(5.0));
-        let initial = cap.stored();
+        let initial = Energy::ZERO;
+        let mut stored = initial;
         let (mut banked, mut delivered, mut leaked) = (Energy::ZERO, Energy::ZERO, Energy::ZERO);
         for o in ops {
             match o {
-                Op::Charge(mj) => {
-                    let input = Energy::from_millijoules(mj);
-                    let receipt = cap.charge_metered(input);
+                Op::Charge(v) => {
+                    let input = mj(v);
+                    let receipt = cap.charge(&mut stored, input);
                     // banked = (input − rejected) × efficiency: only the
                     // accepted share of the input pays conversion loss.
                     let expected = ((input - receipt.rejected) * eff).as_nanojoules();
@@ -58,33 +66,35 @@ proptest! {
                         "{got} vs {expected}");
                     banked += receipt.banked;
                 }
-                Op::Discharge(mj) => {
-                    delivered += cap.discharge_up_to(Energy::from_millijoules(mj));
+                Op::Discharge(v) => {
+                    delivered += SuperCap::discharge_up_to(&mut stored, mj(v));
                 }
-                Op::Leak(s) => leaked += cap.leak_metered(Duration::from_secs(s)),
+                Op::Leak(s) => leaked += cap.leak(&mut stored, Duration::from_secs(s)),
             }
         }
         // stored = initial + banked − delivered − leaked (within float
         // tolerance)
         let lhs = (initial + banked).as_nanojoules();
-        let rhs = (delivered + leaked + cap.stored()).as_nanojoules();
+        let rhs = (delivered + leaked + stored).as_nanojoules();
         prop_assert!((lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
     }
 
+    /// The RTC resync draws its whole cost or nothing.
     #[test]
-    fn try_discharge_is_all_or_nothing(
+    fn resync_discharge_is_all_or_nothing(
         initial in 0.0..100.0f64,
         ask in 0.0..200.0f64,
     ) {
-        let mut cap = SuperCap::new(Energy::from_millijoules(100.0))
-            .with_initial(Energy::from_millijoules(initial));
-        let before = cap.stored();
-        match cap.try_discharge(Energy::from_millijoules(ask)) {
-            Ok(()) => {
-                let spent = (before - cap.stored()).as_millijoules();
-                prop_assert!((spent - ask).abs() < 1e-9);
-            }
-            Err(_) => prop_assert_eq!(cap.stored(), before),
+        let rtc = Rtc::new(mj(100.0), Power::ZERO).unwrap();
+        let (mut stored, mut synced) = (mj(initial), false);
+        let before = stored;
+        if rtc.resynchronize(&mut stored, &mut synced, mj(ask)) {
+            prop_assert!(synced);
+            let spent = (before - stored).as_millijoules();
+            prop_assert!((spent - ask).abs() < 1e-9);
+        } else {
+            prop_assert!(!synced);
+            prop_assert_eq!(stored, before);
         }
     }
 }

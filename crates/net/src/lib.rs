@@ -8,8 +8,8 @@
 //!   turns by phase offset.
 //! * [`plan`] — pluggable topologies (chain / Erdős-Rényi mesh /
 //!   tiered sensors → gateways → cloud) compiled once into immutable
-//!   [`RoutePlan`]s (next hops, hop counts, sweep order, CSR children)
-//!   so the simulator's slot loop never searches the graph.
+//!   [`RoutePlan`]s (next hops, hop counts, sweep order, tiers) so the
+//!   simulator's slot loop never searches the graph.
 
 // Library code must not panic: one panic aborts a whole fleet sweep.
 // Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.

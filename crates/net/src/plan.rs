@@ -1,17 +1,15 @@
 //! Pluggable topologies compiled into immutable route plans.
 //!
-//! The paper's world is a linear chain-mesh, and until PR 7 that
-//! assumption was baked into the slot kernel itself (relay duty was a
-//! reverse suffix-sum over chain positions). This module lifts the
-//! topology into data: a [`TopologySpec`] names one of three shapes —
+//! The paper's world is a linear chain-mesh. This module makes the
+//! topology data: a [`TopologySpec`] names one of three shapes —
 //! the paper's [`Chain`](TopologySpec::Chain), a seeded
 //! [`ErdosRenyi`](TopologySpec::ErdosRenyi) random mesh with
 //! connectivity repair, or a FogSim-NX-style
 //! [`Tiered`](TopologySpec::Tiered) sensors → gateways → cloud layout —
 //! and compiles it once into a [`RoutePlan`]: a next-hop table, hop
-//! counts to the sink, a topological sweep order and a CSR-style
-//! children adjacency. The slot loop only ever indexes these arrays;
-//! it never searches the graph.
+//! counts to the sink, a topological sweep order and a tier per
+//! position. The slot loop only ever indexes these arrays; it never
+//! searches the graph.
 //!
 //! Conventions shared by every shape:
 //!
@@ -22,8 +20,7 @@
 //!   smallest-index tie-breaking, so plans are deterministic functions
 //!   of the spec.
 //! * On a chain the plan degenerates exactly to the paper's semantics:
-//!   `next_hop[p] = p - 1` and `hops[p] = p`, bit-for-bit the indices
-//!   the old suffix-sum relay fold used.
+//!   `next_hop[p] = p - 1` and `hops[p] = p`.
 
 use neofog_types::{NeoFogError, Result, SimRng};
 use serde::{Deserialize, Serialize};
@@ -156,11 +153,6 @@ pub struct RoutePlan {
     order: Vec<u32>,
     /// Tier per position.
     tier: Vec<NodeTier>,
-    /// CSR row starts into [`RoutePlan::adj`]: children of position `p`
-    /// (nodes whose next hop is `p`) are `adj[adj_start[p]..adj_start[p + 1]]`.
-    adj_start: Vec<u32>,
-    /// CSR child lists, ascending within each row.
-    adj: Vec<u32>,
 }
 
 impl RoutePlan {
@@ -248,44 +240,19 @@ impl RoutePlan {
         Ok(RoutePlan::assemble(next_hop, hops, tier))
     }
 
-    /// Finishes a plan from its core tables: derives the sweep order
-    /// and the CSR children adjacency.
+    /// Finishes a plan from its core tables: derives the sweep order.
     #[expect(
         clippy::indexing_slicing,
-        reason = "every table has one row per position, and parents are positions"
+        reason = "every table has one row per position"
     )]
     fn assemble(next_hop: Vec<u32>, hops: Vec<u32>, tier: Vec<NodeTier>) -> RoutePlan {
-        let n = next_hop.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut order: Vec<u32> = (0..next_hop.len() as u32).collect();
         order.sort_by_key(|&v| (std::cmp::Reverse(hops[v as usize]), v));
-        let mut counts = vec![0u32; n + 1];
-        for &parent in &next_hop {
-            if parent != NO_HOP {
-                counts[parent as usize + 1] += 1;
-            }
-        }
-        for p in 0..n {
-            counts[p + 1] += counts[p];
-        }
-        let adj_start = counts;
-        let mut adj = vec![0u32; adj_start[n] as usize];
-        let mut cursor = adj_start.clone();
-        // Children ascending within each row: child indices are visited
-        // in increasing order here.
-        for (child, &parent) in next_hop.iter().enumerate() {
-            if parent != NO_HOP {
-                let slot = cursor[parent as usize] as usize;
-                adj[slot] = child as u32;
-                cursor[parent as usize] += 1;
-            }
-        }
         RoutePlan {
             next_hop,
             hops,
             order,
             tier,
-            adj_start,
-            adj,
         }
     }
 
@@ -354,16 +321,6 @@ impl RoutePlan {
     #[must_use]
     pub fn tier_slice(&self) -> &[NodeTier] {
         &self.tier
-    }
-
-    /// Children of position `v`: the positions that relay through it.
-    #[must_use]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`v` is a position of this plan; out of range is a caller bug, as with a slice index"
-    )]
-    pub fn children(&self, v: usize) -> &[u32] {
-        &self.adj[self.adj_start[v] as usize..self.adj_start[v + 1] as usize]
     }
 
     /// Longest hop count in the plan (0 for a single node or empty).
@@ -465,8 +422,6 @@ mod tests {
         assert_eq!(plan.next_hop_slice(), &[NO_HOP, 0, 1, 2, 3]);
         assert_eq!(plan.hops_slice(), &[0, 1, 2, 3, 4]);
         assert_eq!(plan.order(), &[4, 3, 2, 1, 0]);
-        assert_eq!(plan.children(2), &[3]);
-        assert_eq!(plan.children(4), &[] as &[u32]);
         assert_eq!(plan.max_hops(), 4);
         assert!(plan.tier_slice().iter().all(|&t| t == NodeTier::Sensor));
     }
@@ -485,8 +440,6 @@ mod tests {
         assert_eq!(plan.hops_slice(), &[0, 1, 1, 2, 2, 2, 2]);
         // Sweep order: sensors (hops 2) first, ties ascending.
         assert_eq!(plan.order(), &[3, 4, 5, 6, 1, 2, 0]);
-        assert_eq!(plan.children(1), &[3, 5]);
-        assert_eq!(plan.children(0), &[1, 2]);
     }
 
     #[test]
@@ -552,22 +505,5 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn csr_children_agree_with_next_hops() {
-        let plan = TopologySpec::ErdosRenyi {
-            edge_prob: 0.1,
-            seed: 5,
-        }
-        .build(25)
-        .expect("builds");
-        for p in 0..plan.len() {
-            for &child in plan.children(p) {
-                assert_eq!(plan.next_hop(child as usize), Some(p));
-            }
-        }
-        let total: usize = (0..plan.len()).map(|p| plan.children(p).len()).sum();
-        assert_eq!(total, plan.len() - 1, "in-tree has n - 1 edges");
     }
 }

@@ -16,10 +16,10 @@
 use neofog::core::report::render_table;
 use neofog::net::TopologySpec;
 use neofog::prelude::*;
-use neofog_bench::BenchArgs;
+use neofog_bench::{BenchArgs, Flag};
 
 fn main() {
-    let args = BenchArgs::parse_or_exit();
+    let args = BenchArgs::parse_or_exit(&[Flag::Seed, Flag::Slots]);
     println!("Tiered offload in heavy rain: 9 sensors, 2 gateways, 1 cloud — 1 hour\n");
 
     // The same fleet three ways: a plain chain, a chain with the

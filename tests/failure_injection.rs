@@ -6,6 +6,7 @@ use neofog::core::sim::BalancerKind;
 use neofog::net::TopologySpec;
 use neofog::prelude::*;
 use proptest::prelude::{any, prop_assert, proptest, ProptestConfig};
+use proptest::sample::select;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
@@ -117,8 +118,9 @@ proptest! {
     /// configuration is either rejected by `Simulator::new` or runs to
     /// the end on at least one physical node, with processed <=
     /// captured <= wakeups and a finite delivery ratio. The draws
-    /// include empty chains (0 positions, multiplex 0), which must be
-    /// rejected, and runs of 0 slots, which must not.
+    /// include empty chains (0 positions, multiplex 0) and capacitors
+    /// of zero or infinite size, which must be rejected, and runs of 0
+    /// slots, which must not.
     #[test]
     fn random_configurations_never_panic(
         (system, scenario, balancer) in (0usize..3, 0usize..4, 0usize..4),
@@ -126,6 +128,7 @@ proptest! {
             (0usize..3, 0.0..1.0f64, any::<u64>(), 0usize..5),
         (positions, multiplex, slots) in (0usize..41, 0u32..6, 0u64..201),
         (seed, weather_loss, initial_charge) in (any::<u64>(), 0.0..1.0f64, 0.0..1.0f64),
+        capacity_mj in select(vec![0.0, f64::INFINITY, 0.5, 5.0, 20.0, 100.0, 200.0, 400.0]),
     ) {
         let mut cfg = SimConfig::paper_default(SystemKind::ALL[system], SCENARIOS[scenario], seed);
         cfg.balancer = BALANCERS[balancer];
@@ -139,6 +142,7 @@ proptest! {
         cfg.slots = slots;
         cfg.weather_loss = weather_loss;
         cfg.node.initial_charge = initial_charge;
+        cfg.node.cap_capacity = Energy::from_millijoules(capacity_mj);
         let run = catch_unwind(AssertUnwindSafe(|| Simulator::new(cfg.clone()).map(Simulator::run)));
         prop_assert!(run.is_ok(), "panicked on {cfg:?}");
         if let Ok(Ok(result)) = run {

@@ -2,8 +2,12 @@
 //! state cloning, slot partitioning and simulator behaviour.
 
 use neofog::core::nvd4q::{CloneSet, VirtualizationManager};
+use neofog::net::slots::clone_schedules;
+use neofog::net::TopologySpec;
 use neofog::prelude::*;
 use neofog::types::LogicalId;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 #[test]
 fn join_protocol_builds_a_working_clone_set() {
@@ -61,6 +65,60 @@ fn multiplexed_simulation_halves_per_node_duty() {
         "captured {}",
         m.total_captured()
     );
+}
+
+#[test]
+fn only_the_on_duty_clone_tries_to_wake() {
+    /// Every wake attempt, woken or failed, as `(slot, node)`.
+    struct WakeAttempts {
+        slot: u64,
+        seen: Rc<RefCell<Vec<(u64, usize)>>>,
+    }
+    impl SimObserver for WakeAttempts {
+        fn on_event(&mut self, event: &SimEvent) {
+            match *event {
+                SimEvent::SlotBegan { slot } => self.slot = slot,
+                SimEvent::NodeWoke { node } | SimEvent::WakeFailed { node } => {
+                    self.seen.borrow_mut().push((self.slot, node));
+                }
+                _ => {}
+            }
+        }
+    }
+    for topology in [TopologySpec::Chain, TopologySpec::Tiered { gateways: 2 }] {
+        for m in [2u32, 3, 5] {
+            let mut cfg =
+                SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::MountainSunny, 4);
+            cfg.topology = topology;
+            cfg.multiplex = m;
+            cfg.slots = 60;
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let mut sim = Simulator::new(cfg).expect("valid config");
+            sim.attach_observer(Box::new(WakeAttempts {
+                slot: 0,
+                seen: Rc::clone(&seen),
+            }));
+            let _ = sim.run();
+            let schedules = clone_schedules(m);
+            let m = m as usize;
+            let mut clones_seen = vec![false; m];
+            for &(slot, node) in seen.borrow().iter() {
+                // Node `i` is clone `i % m` of its position.
+                let clone = node % m;
+                assert_eq!(
+                    clone as u64,
+                    slot % m as u64,
+                    "{topology:?}, multiplex {m}: clone {clone} (node {node}) tried to wake in slot {slot}"
+                );
+                assert!(schedules[clone].wakes_at(slot));
+                clones_seen[clone] = true;
+            }
+            assert!(
+                clones_seen.iter().all(|&s| s),
+                "{topology:?}, multiplex {m}: some clone never took a turn"
+            );
+        }
+    }
 }
 
 #[test]
