@@ -4,7 +4,9 @@
 //! With `--events <path>` the binary additionally runs a short
 //! FIOS-NEOFog slot simulation and streams its typed event log to
 //! `<path>` as JSONL, so the per-slot phase sequence behind the
-//! timing figures can be inspected line by line.
+//! timing figures can be inspected line by line. `--seed` and
+//! `--slots` shape only that run, so without `--events` they are an
+//! error (exit status 2), not a silent no-op.
 
 use neofog_bench::{banner, BenchArgs, Flag};
 use neofog_core::report::render_table;
@@ -15,6 +17,10 @@ use neofog_energy::Scenario;
 
 fn main() -> neofog_types::Result<()> {
     let args = BenchArgs::parse_or_exit(&[Flag::Events, Flag::Seed, Flag::Slots]);
+    if args.events.is_none() && (args.seed.is_some() || args.slots.is_some()) {
+        eprintln!("error: --seed and --slots only shape the --events run; pass --events <path>");
+        std::process::exit(2);
+    }
     banner(
         "Figures 1 & 4",
         "NOS-VP ~646 ms to first byte; NOS-NVP 36 ms; NEOFog radio work ~4 ms",

@@ -16,7 +16,7 @@
 //! nothing.
 //!
 //! Tasks only ever move to *alive* balance states (positions with an
-//! awake representative): the simulator rebuilds the pending queues
+//! awake representative): the simulator rebuilds the pending FIFOs
 //! from the post-balance task lists, so a task parked on a dead state
 //! would silently lose its package.
 

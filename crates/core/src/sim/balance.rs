@@ -11,15 +11,16 @@
 //! without allocating a participant list.
 //!
 //! The chain snapshot, the representative list and a copy of the
-//! representatives' packages are [`SlotCtx`] scratch, cleared and
+//! representatives' pending FIFOs are [`SlotCtx`] scratch, cleared and
 //! refilled every slot. A task's tag indexes the package copy. After
-//! the balancer returns, only the representatives' pending queues are
-//! rebuilt, with their FIFO depths and exact staleness horizons:
-//! sleeping clones were never offered to the balancer and keep theirs
-//! untouched.
+//! the balancer returns, only the representatives' FIFOs are rebuilt,
+//! with their depths and exact staleness horizons, and each outbox
+//! stays behind its FIFO. A representative the balancer handed back
+//! exactly its own FIFO, tag for tag, keeps its buffer untouched, as
+//! sleeping clones do: they were never offered to the balancer.
 
 use super::columns::{self, NodeColumns};
-use super::ctx::{rewrite_pending, SlotCtx};
+use super::ctx::{pending, replace_pending, SlotCtx};
 use super::event::{RadioPurpose, SimEvent};
 use super::{BalancerKind, Simulator};
 use crate::balance::{FogTask, NodeBalanceState, RouteContext};
@@ -65,13 +66,13 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // Rewrite every position's state in full; only the task vectors'
     // capacity carries over from the previous slot.
     chain.nodes.resize_with(reps.len(), || vacant(Vec::new()));
-    // Room for every representative's whole queue, so the copy grows
-    // only when a queue does.
+    // Room for every representative's whole buffer, so the copy grows
+    // only when a buffer does.
     let room: usize = reps
         .iter()
         .flatten()
         .filter_map(|&i| cols.cold.get(i))
-        .map(|c| c.pending.capacity())
+        .map(|c| c.queue.capacity())
         .sum();
     rep_packages.clear();
     rep_packages.reserve(room);
@@ -86,10 +87,11 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             *state = vacant(tasks);
             continue;
         };
-        let pending = &cols.cold[i].pending;
-        // Likewise the position's task list: room for the queue it
-        // copies.
-        tasks.reserve(pending.capacity());
+        let queue = &cols.cold[i].queue;
+        let pending = pending(queue, cols.fifo_depth[i]);
+        // Likewise the position's task list: room for the buffer whose
+        // FIFO it copies.
+        tasks.reserve(queue.capacity());
         let level = parts.spendthrift.choose(cols.income_power[i]);
         let spare =
             columns::budget_available(cols.direct_left[i], cols.discharge_eff, cols.stored[i])
@@ -141,22 +143,27 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         });
     }
 
-    // Apply the assignment: rebuild each representative's pending
-    // queue, in position order, from its post-balance task tags, and
-    // mirror the new depth and staleness horizon.
+    // Apply the assignment: rebuild each representative's FIFO, in
+    // position order, from its post-balance task tags. Its own packages
+    // were copied to `rep_packages[first .. first + depth]`.
     // Fits: `Simulator::new` bounds it by `u32::MAX`.
     let fog_len = parts.cfg.node.package.fog_instructions as u32;
+    let mut first = 0;
     for (state, rep) in chain.nodes.iter().zip(reps.iter()) {
         let Some(dest) = *rep else { continue };
-        rewrite_pending(
-            &mut cols.cold[dest].pending,
+        let own = first..first + cols.fifo_depth[dest] as usize;
+        first = own.end;
+        let unchanged = state.tasks.len() == own.len()
+            && state.tasks.iter().zip(own).all(|(t, k)| t.tag == k as u64);
+        if unchanged {
+            continue;
+        }
+        replace_pending(
+            &mut cols.cold[dest].queue,
             &mut cols.fifo_depth[dest],
             &mut cols.stale_horizon[dest],
             fog_len,
-            |pending| {
-                pending.clear();
-                pending.extend(state.tasks.iter().map(|t| rep_packages[t.tag as usize]));
-            },
+            state.tasks.iter().map(|t| rep_packages[t.tag as usize]),
         );
     }
 

@@ -4,26 +4,32 @@
 //! The phase functions are linear passes over every physical node, and
 //! at fleet scale (10⁵–10⁶ nodes per chain) an array-of-structs layout
 //! makes each pass a pointer-chase: harvesting would touch a
-//! capacitor, an RTC and two queues per node even though it only
+//! capacitor, an RTC and a package buffer per node even though it only
 //! *needs* the capacitor level and the slot's income. This module
 //! splits that state by temperature and stores each piece once, at the
 //! size it needs:
 //!
 //! * **Hot columns** — one `Vec` per field the sweeps read every slot:
-//!   capacitor level, RTC level, RTC sync bit, NV FIFO depth, the
-//!   staleness horizon, the per-slot direct pool, wake flags, income
-//!   powers and balance credits. A phase that needs three fields walks
-//!   three dense arrays; everything else stays out of cache.
+//!   capacitor level, RTC level, RTC sync bit, NV FIFO depth (the
+//!   split of the package buffer), the staleness horizon, the per-slot
+//!   direct pool, wake flags, income powers and balance credits. A
+//!   phase that needs three fields walks three dense arrays; everything
+//!   else stays out of cache.
 //! * **The income table** — [`IncomeTable`]: every node's harvest
 //!   income for every slot of the window, slot-major, folded from the
 //!   nodes' power traces at construction. Slot `s` is one contiguous
 //!   row of `n` values, so the harvest sweep zips a dense slice with
 //!   its other columns. Only this module knows the layout: it fills
 //!   the table and hands harvest each slot's row.
-//! * **Cold rows** — [`NodeCold`]: the two package queues and the RNG
-//!   stream, and nothing else. These are touched only when a node
-//!   actually wakes, computes or transmits, so they stay row-oriented
-//!   and are reached through [`NodeView`].
+//! * **Cold rows** — [`NodeCold`]: the package buffer and the RNG
+//!   stream, and nothing else (56 bytes). These are touched only when a
+//!   node actually wakes, computes or transmits, so they stay
+//!   row-oriented and are reached through [`NodeView`]. The buffer is
+//!   one `Vec` holding the pending FIFO and then the outbox, split at
+//!   the node's `fifo_depth`; it is reserved to [`QUEUE_RESERVE`]
+//!   packages, and only the functions in `ctx.rs` add, move or remove
+//!   its packages (that module's docs list them, with the headroom
+//!   measured per run class).
 //! * **Per-run state** — what is the same for every node is stored
 //!   once. The phases read the run's `NodeConfig` (`SimConfig::node`),
 //!   each position's tier (`RoutePlan::tier_slice`, whose capability
@@ -59,17 +65,16 @@ use neofog_types::{Energy, Power, Result, SimRng};
 
 /// Rarely-touched per-node state, reached only when a node is active.
 pub(crate) struct NodeCold {
-    /// Packages awaiting fog processing (fog systems only).
-    pub(crate) pending: Vec<Package>,
-    /// Packages ready for transmission.
-    pub(crate) outbox: Vec<Package>,
+    /// The node's packages: its first [`NodeColumns::fifo_depth`] are
+    /// the pending FIFO (fog systems only), the rest the outbox.
+    pub(crate) queue: Vec<Package>,
     /// The node's private RNG stream.
     pub(crate) rng: SimRng,
 }
 
 const _: () = assert!(
     std::mem::size_of::<NodeCold>()
-        == 2 * std::mem::size_of::<Vec<Package>>() + std::mem::size_of::<SimRng>()
+        == std::mem::size_of::<Vec<Package>>() + std::mem::size_of::<SimRng>()
 );
 
 /// Every node's ambient harvest income for every slot of the window,
@@ -142,13 +147,15 @@ pub(crate) struct NodeColumns {
     /// RTC sync bit per node: `true` while the clock tracks the
     /// network's slot phase, so the node may wake on duty.
     pub(crate) synced: Vec<bool>,
-    /// NV FIFO backlog (`cold[i].pending.len()`), mirrored here so
-    /// admission checks and empty-queue skips never touch a cold row.
-    /// Kept, like `stale_horizon`, by the `pending` functions in
-    /// `ctx.rs`, the only code that adds or removes queued packages.
+    /// NV FIFO backlog per node: the split of `cold[i].queue`, whose
+    /// first `fifo_depth[i]` packages are pending and the rest the
+    /// outbox. Admission checks and empty-FIFO skips read it without
+    /// touching a cold row. Kept, like `stale_horizon`, by the buffer
+    /// functions in `ctx.rs`, the only code that adds, moves or removes
+    /// queued packages.
     pub(crate) fifo_depth: Vec<u32>,
     /// Staleness horizon per node: a lower bound on the first slot at
-    /// which a package in `pending` with no fog progress turns stale
+    /// which a pending package with no fog progress turns stale
     /// ([`Package::stale_at`]); `u32::MAX` when none can. Wake lowers it
     /// on capture; a stale visit and the balance rebuild recompute it
     /// exactly; fog progress only removes candidates, so it leaves the
@@ -189,21 +196,19 @@ pub(crate) struct NodeColumns {
 /// transmit) reads as a per-node function.
 ///
 /// The budget pieces are separate fields (not a sub-struct) on
-/// purpose: the compute phase holds a borrow of `pending`'s head
+/// purpose: the compute phase holds a borrow of the FIFO's head
 /// package across `spend` calls, which is only legal because
 /// `direct_left`/`stored` are sibling fields the borrow checker can
-/// split (`&mut *view.direct_left` while `view.pending`'s head is
+/// split (`&mut *view.direct_left` while `view.queue`'s head is
 /// live).
 pub(crate) struct NodeView<'a> {
     /// Main capacitor level.
     pub(crate) stored: &'a mut Energy,
-    /// Fog-processing queue.
-    pub(crate) pending: &'a mut Vec<Package>,
-    /// Transmission queue.
-    pub(crate) outbox: &'a mut Vec<Package>,
+    /// Package buffer: pending FIFO, then outbox.
+    pub(crate) queue: &'a mut Vec<Package>,
     /// Private RNG stream.
     pub(crate) rng: &'a mut SimRng,
-    /// Mirrored `pending.len()` (see [`NodeColumns::fifo_depth`]).
+    /// The buffer's split (see [`NodeColumns::fifo_depth`]).
     pub(crate) fifo_depth: &'a mut u32,
     /// Unspent direct pool.
     pub(crate) direct_left: &'a mut Energy,
@@ -293,7 +298,7 @@ impl NodeColumns {
     /// position `i / m`. Every node starts from the run's `NodeConfig`:
     /// its capacitor at `initial_charge` of the configured capacity
     /// (65 % charge efficiency, 5 µW leak), its RTC full (5 mJ, 2 µW
-    /// draw) and synchronized, empty queues reserved to
+    /// draw) and synchronized, an empty package buffer reserved to
     /// [`QUEUE_RESERVE`] and the RNG stream `fork(i)` of one
     /// construction RNG, forked in node order.
     ///
@@ -331,8 +336,7 @@ impl NodeColumns {
             discharge_eff: fe.discharge_efficiency(),
             cold: (0..n)
                 .map(|i| NodeCold {
-                    pending: Vec::with_capacity(QUEUE_RESERVE),
-                    outbox: Vec::with_capacity(QUEUE_RESERVE),
+                    queue: Vec::with_capacity(QUEUE_RESERVE),
                     rng: rng.fork(i as u64),
                 })
                 .collect(),
@@ -378,18 +382,11 @@ impl NodeColumns {
     )]
     pub(crate) fn view(&mut self, i: usize) -> NodeView<'_> {
         let cold = &mut self.cold[i];
-        let fifo_depth = &mut self.fifo_depth[i];
-        debug_assert_eq!(
-            *fifo_depth as usize,
-            cold.pending.len(),
-            "node {i}: FIFO depth mirror out of sync"
-        );
         NodeView {
             stored: &mut self.stored[i],
-            pending: &mut cold.pending,
-            outbox: &mut cold.outbox,
+            queue: &mut cold.queue,
             rng: &mut cold.rng,
-            fifo_depth,
+            fifo_depth: &mut self.fifo_depth[i],
             direct_left: &mut self.direct_left[i],
             income_power: self.income_power[i],
             direct_eff: self.direct_eff,

@@ -22,7 +22,7 @@
 //! [`NodeView`]: super::columns::NodeView
 
 use super::columns::{self, NodeColumns};
-use super::ctx::{pop_pending_head, rewrite_pending, SlotCtx};
+use super::ctx::{finish_head, pending, take_stale, SlotCtx};
 use super::event::{ShedReason, SimEvent};
 use super::Simulator;
 use crate::node::NodeCapabilities;
@@ -77,8 +77,10 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             let compute_rate = NodeCapabilities::for_tier(tier).compute_rate;
             let (epi, throughput) = (lvl.energy_per_inst, lvl.throughput() * compute_rate);
             let mut time_left = (throughput * slot_len.as_secs_f64()) as u64;
-            while time_left > 0 {
-                let Some(pkg) = view.pending.first_mut() else {
+            while time_left > 0 && *view.fifo_depth > 0 {
+                // The FIFO is not empty, so the buffer's first package is
+                // its head.
+                let Some(pkg) = view.queue.first_mut() else {
                     break;
                 };
                 let energy_afford =
@@ -113,8 +115,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                 time_left -= run;
                 if pkg.fog_remaining == 0 {
                     pkg.fog_done = true;
-                    let finished = pop_pending_head(view.pending, view.fifo_depth);
-                    view.outbox.push(finished);
+                    finish_head(view.queue, view.fifo_depth);
                     bus.emit(&SimEvent::FogCompleted { node: i });
                 }
             }
@@ -149,35 +150,27 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         }
         if slot < u64::from(*horizon) {
             debug_assert!(
-                !cold.pending.iter().any(|p| p.is_stale(slot, fog_len)),
+                !pending(&cold.queue, *fifo_depth)
+                    .iter()
+                    .any(|p| p.is_stale(slot, fog_len)),
                 "node {i}: the stale sweep skipped a stale package at slot {slot} (horizon {horizon})"
             );
             continue;
         }
-        debug_assert_eq!(
-            *fifo_depth as usize,
-            cold.pending.len(),
-            "node {i}: FIFO depth mirror out of sync"
+        let ship = cap.fraction(*stored) > 0.6;
+        let stale = take_stale(
+            &mut cold.queue,
+            fifo_depth,
+            horizon,
+            slot,
+            fog_len,
+            ship,
+            &mut ctx.pkg_scratch,
         );
-        // Partition through the package scratch (retain keeps order,
-        // like the drain/partition it replaces, without allocating).
-        let stale = &mut ctx.pkg_scratch;
-        stale.clear();
-        rewrite_pending(&mut cold.pending, fifo_depth, horizon, fog_len, |pending| {
-            pending.retain(|p| {
-                let is_stale = p.is_stale(slot, fog_len);
-                if is_stale {
-                    stale.push(*p);
-                }
-                !is_stale
-            });
-        });
-        if cap.fraction(*stored) > 0.6 {
-            cold.outbox.extend_from_slice(stale);
-        } else if !stale.is_empty() {
+        if !ship && stale > 0 {
             bus.emit(&SimEvent::PackageShed {
                 node: i,
-                count: stale.len() as u64,
+                count: stale as u64,
                 reason: ShedReason::Stale,
             });
         }

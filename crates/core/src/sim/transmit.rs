@@ -9,8 +9,9 @@
 //! odds depend only on the sender's position, so `Simulator::new`
 //! compounds them once per position and the sweep reads one `f64`.
 //!
-//! The packets a session sends leave the front of the outbox in one
-//! drain.
+//! The outbox is the back of the node's package buffer, behind the
+//! pending FIFO; it is put in sending order in place, and the packets a
+//! session sends leave its front in one drain.
 //!
 //! Relay duty is accumulated as a *difference array*: each packet
 //! marks its byte count at its source position (one store), and a
@@ -21,7 +22,7 @@
 //! sweep order is `[n-1, …, 0]` and each position has one child, so
 //! the sweep is a reverse suffix-sum.
 
-use super::ctx::SlotCtx;
+use super::ctx::{drain_sent, outbox, sort_outbox, SlotCtx};
 use super::event::{RadioPurpose, SimEvent};
 use super::Simulator;
 use neofog_types::Duration;
@@ -46,25 +47,17 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
             continue;
         }
         let mut view = parts.nodes.view(i);
-        if view.outbox.is_empty() {
+        let depth = *view.fifo_depth;
+        if outbox(view.queue, depth).is_empty() {
             continue;
         }
         let position = i / multiplex;
-        // Processed packages first: smaller and more valuable. A
-        // stable two-pass partition through the package scratch keeps
-        // the relative order `sort_by_key` gave without its potential
-        // temporary allocation.
-        ctx.pkg_scratch.clear();
-        ctx.pkg_scratch
-            .extend(view.outbox.iter().filter(|p| p.fog_done));
-        ctx.pkg_scratch
-            .extend(view.outbox.iter().filter(|p| !p.fog_done));
-        view.outbox.clear();
-        view.outbox.extend_from_slice(&ctx.pkg_scratch);
+        // Processed packages first: smaller and more valuable.
+        sort_outbox(view.queue, depth, &mut ctx.pkg_scratch);
         // Open the session only when the first packet is payable
         // too — bringing the radio up and then browning out before
         // anything is sent would waste the whole session.
-        let first = view.outbox[0];
+        let first = outbox(view.queue, depth)[0];
         let first_bytes = if first.fog_done {
             package.processed_bytes
         } else {
@@ -86,7 +79,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         // loss compounded over the route-plan hops to the sink edge.
         let delivery_odds = parts.delivery_odds[position];
         let mut sent = 0;
-        while let Some(&pkg) = view.outbox.get(sent) {
+        while let Some(&pkg) = outbox(view.queue, depth).get(sent) {
             let bytes = if pkg.fog_done {
                 package.processed_bytes
             } else {
@@ -117,7 +110,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                 bus.emit(&SimEvent::PackageLost { origin });
             }
         }
-        view.outbox.drain(..sent);
+        drain_sent(view.queue, depth, sent);
     }
 
     // Fold the per-source marks into per-position relay duty with one

@@ -18,7 +18,7 @@
 //! turns stale.
 
 use super::columns::{self, NodeColumns};
-use super::ctx::{push_pending, Package, SlotCtx, MAX_PENDING};
+use super::ctx::{push_outbox, push_pending, Package, SlotCtx, MAX_PENDING};
 use super::event::{ShedReason, SimEvent};
 use super::Simulator;
 use neofog_energy::Scenario;
@@ -108,7 +108,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                 // the node lacks energy to process ... the sampled
                 // data are discarded").
                 if (*fifo_depth as usize) < MAX_PENDING {
-                    push_pending(&mut cold.pending, fifo_depth, stale_horizon, pkg);
+                    push_pending(&mut cold.queue, fifo_depth, stale_horizon, pkg);
                 } else {
                     bus.emit(&SimEvent::PackageShed {
                         node: i,
@@ -117,7 +117,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
                     });
                 }
             } else {
-                cold.outbox.push(pkg);
+                push_outbox(&mut cold.queue, pkg);
             }
         } else {
             bus.emit(&SimEvent::WakeFailed { node: i });

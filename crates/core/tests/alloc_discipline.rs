@@ -2,8 +2,8 @@
 //!
 //! The scratch [`SlotCtx`] retains its vectors across slots, so after
 //! a short warm-up (first slots grow the scratch and the per-node
-//! queues to their working capacity) the phase pipeline must perform
-//! **zero heap allocations per slot**. A counting global allocator
+//! package buffers to their working capacity) the phase pipeline must
+//! perform **zero heap allocations per slot**. A counting global allocator
 //! snapshots the allocation counter at slot boundaries through the
 //! event bus and asserts the steady-state window allocates nothing.
 //!
@@ -11,12 +11,12 @@
 //! that `paper_repro` runs (NOS-NVP and FIOS, multiplex 1, 3 and 5)
 //! keep the balance phase on, the latter over the paper's full 1,500
 //! slots. Each balancer owns its working memory and sizes it from the
-//! chain's queue capacities (DESIGN.md §11); a separate case drives
+//! chain's buffer capacities (DESIGN.md §11); a separate case drives
 //! the tree and Algorithm 1 balancers directly and checks that only
 //! their first call allocates. The tree classes do not run here with
 //! the simulator: the tree balancer can pile more packages on one node
 //! than it ever held before, late in a run (380 on one FIOS forest
-//! node at seed 1, slot 1,356), and that node's queues grow to hold
+//! node at seed 1, slot 1,356), and that node's buffer grows to hold
 //! them. The Offload balancer runs on a routed mesh, where it
 //! allocates nothing after a 64-slot warm-up; on a tiered topology it
 //! still allocates a few times late in a run, so that class does not
@@ -104,7 +104,7 @@ fn slot_loop_is_allocation_free_after_warmup() {
         if !default_balancer {
             cfg.balancer = BalancerKind::None;
         }
-        // The first slots grow the scratch vectors and per-node queues
+        // The first slots grow the scratch vectors and per-node buffers
         // to working capacity; 16 slots is comfortably past that.
         let allocs = steady_state_allocs(cfg, 16);
         assert_eq!(

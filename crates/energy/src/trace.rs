@@ -521,13 +521,13 @@ impl IncomeFold<'_> {
     }
 }
 
-fn segment_library(scenario: Scenario) -> Vec<Segment> {
+fn segment_library(scenario: Scenario) -> [Segment; 5] {
     let mean = scenario.mean_power().as_milliwatts();
     let var = scenario.variance();
     // Segment means spread around the scenario mean by the
     // scenario's variance; lengths of 20–120 samples mimic passing
     // clouds / moving leaves on a seconds-to-minutes timescale.
-    vec![
+    [
         Segment {
             mean: mean * (1.0 + var),
             jitter: 0.10,
@@ -572,8 +572,8 @@ fn independent_with(
     };
     let mut made = 0;
     while made < n {
-        // The library is a non-empty constant table; the fallback
-        // segment only guards the type-level empty case.
+        // `pick` returns `None` only for an empty slice, and the
+        // library holds five segments: the fallback is never taken.
         let seg = *rng.pick(&library).unwrap_or(&fallback);
         let take = (seg.len_samples as u64).min(n - made);
         for _ in 0..take {
