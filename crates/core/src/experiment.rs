@@ -167,6 +167,9 @@ pub fn average_row(rows: &[ProfileRow]) -> Vec<SystemSummary> {
 /// baseline tree balance and NVP with the proposed distributed balance
 /// — all on a bright daytime solar window where an unbalanced node's
 /// capacitor is "frequently full, meaning further energy was rejected".
+/// Here every variant runs the bridge scenario at its nominal income,
+/// where the VP spends down to mid-level; flat tops appear only at
+/// three times that income (EXPERIMENTS.md, Figure 9).
 ///
 /// When `events` is set, the first variant streams its JSONL event log
 /// there.
@@ -200,7 +203,6 @@ pub fn figure9_with(
             let mut cfg = SimConfig::paper_default(system, Scenario::BridgeDependent, seed);
             cfg.balancer = balancer;
             cfg.trace_stored = true;
-            cfg.income_scale = 1.0; // bright day
             cfg
         })
         .collect();

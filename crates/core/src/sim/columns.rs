@@ -17,10 +17,12 @@
 //!   else stays out of cache.
 //! * **The income table** — [`IncomeTable`]: every node's harvest
 //!   income for every slot of the window, slot-major, folded from the
-//!   nodes' power traces at construction. Slot `s` is one contiguous
-//!   row of `n` values, so the harvest sweep zips a dense slice with
-//!   its other columns. Only this module knows the layout: it fills
-//!   the table and hands harvest each slot's row.
+//!   nodes' power traces at construction, two nodes per pass (their
+//!   RNG streams and running sums are independent, so the pass
+//!   overlaps them; the incomes are bit for bit a lone node's). Slot
+//!   `s` is one contiguous row of `n` values, so the harvest sweep zips
+//!   a dense slice with its other columns. Only this module knows the
+//!   layout: it fills the table and hands harvest each slot's row.
 //! * **Cold rows** — [`NodeCold`]: the package buffer and the RNG
 //!   stream, and nothing else (56 bytes). These are touched only when a
 //!   node actually wakes, computes or transmits, so they stay
@@ -88,28 +90,40 @@ pub(crate) struct IncomeTable {
 }
 
 /// Incomes [`IncomeTable::fold`] holds in its block of folded rows
-/// (32 KiB): small enough to stay in cache while the block is written
-/// out, large enough that a 32-slot window gives each slot a 1 KiB run
-/// of the table.
+/// (32 KiB; more only when one pair of rows is larger): small enough to
+/// stay in cache while the block is written out, large enough that a
+/// 32-slot window gives each slot a 1 KiB run of the table.
 const FOLD_BLOCK_VALUES: usize = 4096;
 
 impl IncomeTable {
     /// Folds the power traces of the plan's first `nodes` nodes into
     /// `cfg.window()` per-slot incomes each, so no trace outlives its
-    /// fold. [`ChainPlan::slot_incomes`] folds a block of consecutive
-    /// nodes into one reused row each; the block is then written out
-    /// slot by slot, each slot's share one contiguous run of the table.
-    /// Scattering one node's row at a time would instead write `nodes`
-    /// values apart for every income; at 10⁵ nodes and a 32-slot window
-    /// that made the fold about 7 % slower.
+    /// fold. [`ChainPlan::slot_incomes_lanes`] folds a block of
+    /// consecutive nodes two at a time into one reused row each (an odd
+    /// last node alone); the block is then written out slot by slot,
+    /// each slot's share one contiguous run of the table. Scattering one
+    /// node's row at a time would instead write `nodes` values apart for
+    /// every income; at 10⁵ nodes and a 32-slot window that made the
+    /// fold about 7 % slower.
     fn fold(cfg: &SimConfig, plan: &ChainPlan, nodes: usize) -> IncomeTable {
         let window = cfg.window() as usize;
         let mut values = vec![Energy::ZERO; window * nodes];
-        let block_nodes = (FOLD_BLOCK_VALUES / window).clamp(1, nodes.max(1));
+        // An even number of nodes, at least one pair, so only the
+        // table's last node can fold alone, at any window.
+        let block_nodes = ((FOLD_BLOCK_VALUES / window / 2).max(1) * 2).min(nodes.max(1));
         let mut block = vec![Energy::ZERO; block_nodes * window];
         for first in (0..nodes).step_by(block_nodes) {
-            for (incomes, node) in block.chunks_exact_mut(window).zip(first..nodes) {
-                plan.slot_incomes(node, cfg.income_scale, cfg.slot_len, incomes);
+            let mut rows = block.chunks_exact_mut(window).zip(first..nodes);
+            while let Some((a, node)) = rows.next() {
+                match rows.next() {
+                    Some((b, _)) => plan.slot_incomes_lanes(
+                        [node, node + 1],
+                        cfg.income_scale,
+                        cfg.slot_len,
+                        [a, b],
+                    ),
+                    None => plan.slot_incomes(node, cfg.income_scale, cfg.slot_len, a),
+                }
             }
             // `first < nodes`, so the rows are not empty; the last block
             // may be partial, and the zip stops at the table's row end.
@@ -405,10 +419,24 @@ mod tests {
     #[test]
     fn income_rows_hold_every_nodes_slot_incomes() {
         // Node counts below, at and past one fold block (128 nodes at a
-        // 32-slot window, 2 at 1,500 slots), so partial blocks are met.
-        for (nodes, slots) in [(1, 0), (7, 3), (130, 32), (300, 32), (5, 1500)] {
-            let mut cfg =
-                SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::BridgeDependent, 3);
+        // 32-slot window, 2 at 1,500 slots and past 2,048), so partial
+        // blocks are met, and odd ones whose last node folds alone: 7
+        // nodes in one block, a last block of 1 (129 nodes) and of 45
+        // (301), and 5 or 3 nodes in blocks of 2.
+        let cases = [
+            (1, 0),
+            (7, 3),
+            (129, 32),
+            (130, 32),
+            (300, 32),
+            (301, 32),
+            (5, 1500),
+            (3, 2500),
+        ];
+        for ((nodes, slots), scenario) in cases.into_iter().flat_map(|case| {
+            [Scenario::BridgeDependent, Scenario::ForestIndependent].map(|s| (case, s))
+        }) {
+            let mut cfg = SimConfig::paper_default(SystemKind::FiosNeoFog, scenario, 3);
             cfg.positions = nodes;
             cfg.slots = slots;
             let total = Duration::from_micros(cfg.slot_len.as_micros() * slots);
@@ -425,7 +453,7 @@ mod tests {
                     assert_eq!(
                         row[node].as_nanojoules().to_bits(),
                         income.as_nanojoules().to_bits(),
-                        "{nodes} nodes × {slots} slots: node {node}, slot {slot}"
+                        "{scenario:?}, {nodes} nodes × {slots} slots: node {node}, slot {slot}"
                     );
                 }
             }

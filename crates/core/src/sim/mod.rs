@@ -181,7 +181,7 @@ pub struct SimConfig {
     /// Extra channel loss from weather (rainy scenarios).
     pub weather_loss: f64,
     /// Multiplier on every node's power trace (1.0 = the scenario's
-    /// nominal level; Figure 9 uses a bright daytime window).
+    /// nominal level, which every figure uses, Figure 9 included).
     pub income_scale: f64,
     /// Write a deterministic JSONL event log to this path (see
     /// [`EventLogObserver`]); `None` disables logging.
@@ -319,9 +319,11 @@ impl Simulator {
     /// the physical node count (`positions × multiplex`), `slots` or
     /// `node.package.fog_instructions` exceeds `u32::MAX` (a queued
     /// package stores each in a `u32`); when a fog-capable system's
-    /// packages carry no fog instructions; when the balancer rejects the
-    /// slot length (see [`BalancerKind::build`]) or when `events_path`
-    /// cannot be created.
+    /// packages carry no fog instructions; when the window
+    /// (`slots × slot_len`), or the end of its last trace sample (the
+    /// window rounded up to whole `trace_dt`s), does not fit in `u64` µs;
+    /// when the balancer rejects the slot length (see
+    /// [`BalancerKind::build`]) or when `events_path` cannot be created.
     pub fn new(cfg: SimConfig) -> Result<Self> {
         if cfg.positions == 0 || cfg.multiplex == 0 {
             return Err(NeoFogError::invalid_config(format!(
@@ -363,8 +365,20 @@ impl Simulator {
                 cfg.system
             )));
         }
+        // Set-up clocks the window and every trace sample in whole µs:
+        // the window's end and the end of its last sample must fit.
+        let (slot_us, dt_us) = (cfg.slot_len.as_micros(), cfg.trace_dt.as_micros());
+        let Some(window_us) = slot_us
+            .checked_mul(cfg.slots)
+            .filter(|&total| total.div_ceil(dt_us).checked_mul(dt_us).is_some())
+        else {
+            return Err(NeoFogError::invalid_config(format!(
+                "{} slots of {slot_us} µs, sampled every {dt_us} µs, run past u64::MAX µs",
+                cfg.slots
+            )));
+        };
         let gen = TraceGenerator::new(cfg.scenario, cfg.seed);
-        let total_time = Duration::from_micros(cfg.slot_len.as_micros() * cfg.slots);
+        let total_time = Duration::from_micros(window_us);
         let trace_dt = cfg.trace_dt;
         // One plan for the whole chain: dependent scenarios synthesize
         // their shared base curve exactly once here, instead of once
@@ -776,6 +790,36 @@ mod tests {
             Simulator::new(cfg),
             Err(NeoFogError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn windows_beyond_u64_micros_are_rejected() {
+        // The window itself overflows: 3 slots of u64::MAX / 2 µs.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.slot_len = Duration::from_micros(u64::MAX / 2);
+        cfg.slots = 3;
+        assert!(matches!(
+            Simulator::new(cfg),
+            Err(NeoFogError::InvalidConfig { .. })
+        ));
+        // The window fits (3 × u64::MAX / 3 = u64::MAX µs), but it
+        // takes three trace samples of u64::MAX / 2 µs, and the third
+        // ends past u64::MAX µs.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.slot_len = Duration::from_micros(u64::MAX / 3);
+        cfg.slots = 3;
+        cfg.trace_dt = Duration::from_micros(u64::MAX / 2);
+        assert!(matches!(
+            Simulator::new(cfg),
+            Err(NeoFogError::InvalidConfig { .. })
+        ));
+        // A window that ends exactly at u64::MAX µs, in one sample,
+        // still builds.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.slot_len = Duration::from_micros(u64::MAX / 3);
+        cfg.slots = 3;
+        cfg.trace_dt = Duration::from_micros(u64::MAX);
+        assert!(Simulator::new(cfg).is_ok());
     }
 
     #[test]

@@ -11,6 +11,16 @@
 //!   base diurnal curve; each node applies ~30 % random variance.
 //! * **Rainy** (mountain-slide monitoring, Figure 13): very low income
 //!   with occasional dimming, shared weather (dependent).
+//!
+//! One synthesis routine realizes every trace, for `L` nodes at a time
+//! (one lane each, `L` a constant), and one fold turns the samples into
+//! per-slot incomes as they are made, so the simulator stores no trace.
+//! A node's fold is bound by two serial chains, its RNG stream and its
+//! running sum; `Simulator::new` folds two nodes per pass
+//! ([`ChainPlan::slot_incomes_lanes`]) so their chains overlap, while
+//! [`ChainPlan::node_trace`] and [`ChainPlan::slot_incomes`] run one
+//! lane. Every lane performs a lone node's f64 operations in the same
+//! order, so the incomes are the same bit for bit.
 
 #![expect(
     clippy::indexing_slicing,
@@ -350,7 +360,9 @@ impl TraceGenerator {
 /// Produced by [`TraceGenerator::chain_plan`]. Realizing a node trace
 /// from the plan touches only that node's stream, so plans can hand
 /// out traces in any order — or skip nodes entirely — and remain
-/// deterministic.
+/// deterministic. Nodes realized together in one pass stay pure too:
+/// each lane reads only its own node's stream, so a node's incomes do
+/// not depend on the node it shares the pass with.
 #[derive(Debug, Clone)]
 pub struct ChainPlan {
     scenario: Scenario,
@@ -394,7 +406,7 @@ impl ChainPlan {
     pub fn node_trace(&self, index: usize) -> PowerTrace {
         let n = self.total.as_micros().div_ceil(self.dt.as_micros());
         let mut samples = Vec::with_capacity(n as usize);
-        self.synthesize(index, |p| samples.push(p));
+        self.synthesize([index], |[p]| samples.push(p));
         PowerTrace::from_samples(self.dt, samples)
     }
 
@@ -431,92 +443,145 @@ impl ChainPlan {
         slot_len: Duration,
         incomes: &mut [Energy],
     ) {
-        let slot_us = slot_len.as_micros();
-        let mut fold = IncomeFold {
-            incomes: incomes.iter_mut(),
-            last: Energy::ZERO,
-            boundary: slot_us,
-            slot_us,
-            scale: income_scale,
-            dt_us: self.dt.as_micros(),
-            start: 0,
-            total: 0.0,
-        };
-        self.synthesize(index, |p| fold.fold_sample(p));
+        self.slot_incomes_lanes([index], income_scale, slot_len, [incomes]);
+    }
+
+    /// [`ChainPlan::slot_incomes`] for `L` nodes in one pass:
+    /// `incomes[l]` receives node `nodes[l]`'s incomes, each
+    /// bit-identical to what `slot_incomes` writes for that node.
+    ///
+    /// One node's fold is two serial chains, its RNG stream and its
+    /// running sum; the lanes' chains are independent, so a pass over
+    /// two nodes overlaps them. Each lane still draws from its own
+    /// stream in its own order and adds its samples in time order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node index is `>= self.len()`, or if the lanes'
+    /// income slices differ in length.
+    pub fn slot_incomes_lanes<const L: usize>(
+        &self,
+        nodes: [usize; L],
+        income_scale: f64,
+        slot_len: Duration,
+        incomes: [&mut [Energy]; L],
+    ) {
+        let mut fold = IncomeFold::new(incomes, income_scale, slot_len, self.dt);
+        self.synthesize(nodes, |p| fold.fold_sample(p));
         fold.fold_tail();
     }
 
-    /// Streams node `index`'s samples, in time order, into `sink`: the
-    /// one synthesis routine behind [`ChainPlan::node_trace`] and
-    /// [`ChainPlan::slot_incomes`].
-    fn synthesize(&self, index: usize, sink: impl FnMut(Power)) {
-        assert!(index < self.streams.len(), "node index out of plan range");
-        let Some(rng) = self.streams.get(index).cloned() else {
-            return;
-        };
+    /// Streams the samples of `L` nodes, in time order, into `sink`,
+    /// one sample per lane per call: the one synthesis routine behind
+    /// [`ChainPlan::node_trace`] and [`ChainPlan::slot_incomes_lanes`].
+    fn synthesize<const L: usize>(&self, nodes: [usize; L], sink: impl FnMut([Power; L])) {
+        let rngs = nodes.map(|index| {
+            assert!(index < self.streams.len(), "node index out of plan range");
+            self.streams[index].clone()
+        });
         match &self.base {
-            Some(base) => perturb_with(rng, self.scenario.variance(), base, sink),
-            None => independent_with(rng, self.scenario, self.total, self.dt, sink),
+            Some(base) => perturb_with(rngs, self.scenario.variance(), base, sink),
+            None => independent_with(rngs, self.scenario, self.total, self.dt, sink),
         }
     }
 }
 
-/// Folds a stream of trace samples into per-slot incomes.
+/// Folds `L` lanes of trace samples, one node per lane, into per-slot
+/// incomes.
 ///
-/// It performs the f64 operations of [`EnergyCurve::new`] and then of
-/// `EnergyCurve::cumulative_at` at each slot boundary, in the same
-/// order, so every income equals the curve's `energy_between` bit for
-/// bit. The first boundary, time zero, reads zero on every finite
-/// trace, so the fold starts from zero at the end of slot 0.
+/// Each lane performs the f64 operations of [`EnergyCurve::new`] and
+/// then of `EnergyCurve::cumulative_at` at each slot boundary, in the
+/// same order, so every income equals the curve's `energy_between` bit
+/// for bit. The lanes share one clock: a sample spans the same interval
+/// in every lane, so each slot boundary is found once and closed in
+/// every lane. The first boundary, time zero, reads zero on every
+/// finite trace, so the fold starts from zero at the end of slot 0.
 /// Boundaries advance by addition against a running sample end, so no
 /// sample costs a division.
-struct IncomeFold<'a> {
-    /// The incomes still to write, in slot order.
-    incomes: std::slice::IterMut<'a, Energy>,
-    /// Cumulative energy at the previous boundary.
-    last: Energy,
-    /// The end of the next income's slot, µs; `u64::MAX` once every
-    /// income is written.
+struct IncomeFold<'a, const L: usize> {
+    /// Each lane's incomes, in slot order; all `window` long.
+    incomes: [&'a mut [Energy]; L],
+    window: usize,
+    /// The slot whose income every lane writes next.
+    slot: usize,
+    /// Each lane's cumulative energy at the previous boundary.
+    last: [Energy; L],
+    /// The end of slot `slot`, µs; `u64::MAX` once every income is
+    /// written.
     boundary: u64,
     slot_us: u64,
     scale: f64,
     dt_us: u64,
     /// Start of the next sample, µs.
     start: u64,
-    /// Energy of every sample before `start`, nJ.
-    total: f64,
+    /// Each lane's energy of every sample before `start`, nJ.
+    total: [f64; L],
 }
 
-impl IncomeFold<'_> {
+impl<'a, const L: usize> IncomeFold<'a, L> {
+    fn new(incomes: [&'a mut [Energy]; L], scale: f64, slot_len: Duration, dt: Duration) -> Self {
+        let window = incomes.first().map_or(0, |lane| lane.len());
+        assert!(
+            incomes.iter().all(|lane| lane.len() == window),
+            "every lane folds the same number of slots"
+        );
+        let slot_us = slot_len.as_micros();
+        IncomeFold {
+            incomes,
+            window,
+            slot: 0,
+            last: [Energy::ZERO; L],
+            boundary: if window == 0 { u64::MAX } else { slot_us },
+            slot_us,
+            scale,
+            dt_us: dt.as_micros(),
+            start: 0,
+            total: [0.0; L],
+        }
+    }
+
     /// Closes every slot whose end falls inside the sample
-    /// `[start, start + dt)`, then adds the sample to the running
-    /// total.
-    fn fold_sample(&mut self, p: Power) {
-        let p = (p * self.scale).max_zero();
+    /// `[start, start + dt)`, then adds each lane's sample to its
+    /// running total.
+    fn fold_sample(&mut self, samples: [Power; L]) {
+        // Every sample is already clamped at zero, so scaling it by 1.0
+        // would change no bit: the nominal scale skips the step.
+        let p = if self.scale == 1.0 {
+            samples
+        } else {
+            samples.map(|p| (p * self.scale).max_zero())
+        };
         let end = self.start + self.dt_us;
         while self.boundary < end {
-            let Some(income) = self.incomes.next() else {
-                self.boundary = u64::MAX;
-                break;
-            };
             let within = Duration::from_micros(self.boundary - self.start);
-            let cum = Energy::from_nanojoules(self.total) + p * within;
-            *income = cum.saturating_sub(self.last);
-            self.last = cum;
-            self.boundary += self.slot_us;
+            let lanes = self.incomes.iter_mut().zip(&mut self.last).zip(self.total);
+            for (((incomes, last), total), p) in lanes.zip(p) {
+                let cum = Energy::from_nanojoules(total) + p * within;
+                incomes[self.slot] = cum.saturating_sub(*last);
+                *last = cum;
+            }
+            self.slot += 1;
+            self.boundary = if self.slot < self.window {
+                self.boundary + self.slot_us
+            } else {
+                u64::MAX
+            };
         }
-        self.total += p.as_milliwatts() * self.dt_us as f64;
+        for (total, p) in self.total.iter_mut().zip(p) {
+            *total += p.as_milliwatts() * self.dt_us as f64;
+        }
         self.start = end;
     }
 
-    /// Closes the slots that end at or past the trace end, where the
-    /// cumulative energy stays at the total.
+    /// Closes the slots that end at or past the trace end, where each
+    /// lane's cumulative energy stays at its total.
     fn fold_tail(self) {
-        let cum = Energy::from_nanojoules(self.total);
-        let mut last = self.last;
-        for income in self.incomes {
-            *income = cum.saturating_sub(last);
-            last = cum;
+        for ((lane, total), mut last) in self.incomes.into_iter().zip(self.total).zip(self.last) {
+            let cum = Energy::from_nanojoules(total);
+            for income in &mut lane[self.slot..] {
+                *income = cum.saturating_sub(last);
+                last = cum;
+            }
         }
     }
 }
@@ -556,31 +621,43 @@ fn segment_library(scenario: Scenario) -> [Segment; 5] {
     ]
 }
 
-fn independent_with(
-    mut rng: SimRng,
+/// Concatenates segments drawn at random from the library, one lane
+/// per node. A lane draws its segment, then one jitter per sample.
+/// Every lane runs, without a branch, the samples that every lane's
+/// current segment still covers; then each lane whose segment ran out
+/// draws its next one, at the sample where a lone node would.
+fn independent_with<const L: usize>(
+    mut rngs: [SimRng; L],
     scenario: Scenario,
     total: Duration,
     dt: Duration,
-    mut sink: impl FnMut(Power),
+    mut sink: impl FnMut([Power; L]),
 ) {
     let library = segment_library(scenario);
     let n = total.as_micros().div_ceil(dt.as_micros());
-    let fallback = Segment {
-        mean: scenario.mean_power().as_milliwatts(),
-        jitter: 0.1,
-        len_samples: 60,
-    };
+    let mut segs = [library[0]; L];
+    // Samples left in each lane's segment; 0 makes the lane draw.
+    let mut left = [0; L];
     let mut made = 0;
     while made < n {
-        // `pick` returns `None` only for an empty slice, and the
-        // library holds five segments: the fallback is never taken.
-        let seg = *rng.pick(&library).unwrap_or(&fallback);
-        let take = (seg.len_samples as u64).min(n - made);
-        for _ in 0..take {
-            let p = seg.mean * (1.0 + seg.jitter * (2.0 * rng.next_f64() - 1.0));
-            sink(Power::from_milliwatts(p.max(0.0)));
+        for ((rng, seg), left) in rngs.iter_mut().zip(&mut segs).zip(&mut left) {
+            if *left == 0 {
+                *seg = library[rng.index(library.len())];
+                *left = (seg.len_samples as u64).min(n - made);
+            }
         }
-        made += take;
+        let run = left.into_iter().fold(u64::MAX, u64::min);
+        for _ in 0..run {
+            sink(std::array::from_fn(|l| {
+                let seg = segs[l];
+                let p = seg.mean * (1.0 + seg.jitter * (2.0 * rngs[l].next_f64() - 1.0));
+                Power::from_milliwatts(p.max(0.0))
+            }));
+        }
+        for left in &mut left {
+            *left -= run;
+        }
+        made += run;
     }
 }
 
@@ -604,13 +681,24 @@ fn base_curve_with(mut rng: SimRng, mean: f64, total: Duration, dt: Duration) ->
     PowerTrace::from_samples(dt, samples)
 }
 
-fn perturb_with(mut rng: SimRng, var: f64, base: &PowerTrace, mut sink: impl FnMut(Power)) {
+/// Perturbs the shared base curve, one lane per node: each lane draws
+/// its static factor, then one jitter per sample.
+fn perturb_with<const L: usize>(
+    mut rngs: [SimRng; L],
+    var: f64,
+    base: &PowerTrace,
+    mut sink: impl FnMut([Power; L]),
+) {
     // Per-node static factor (panel angle / placement)...
-    let factor = 1.0 + var * (2.0 * rng.next_f64() - 1.0);
+    let factors = rngs
+        .each_mut()
+        .map(|rng| 1.0 + var * (2.0 * rng.next_f64() - 1.0));
     // ...plus small fast per-sample jitter.
     for p in base.samples() {
-        let jitter = 1.0 + 0.05 * (2.0 * rng.next_f64() - 1.0);
-        sink((*p * (factor * jitter)).max_zero());
+        sink(std::array::from_fn(|l| {
+            let jitter = 1.0 + 0.05 * (2.0 * rngs[l].next_f64() - 1.0);
+            (*p * (factors[l] * jitter)).max_zero()
+        }));
     }
 }
 

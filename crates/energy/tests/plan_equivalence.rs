@@ -7,8 +7,8 @@
 //! single-trace generation must be element-wise identical to batch
 //! generation for every scenario, and the dependent base curve must be
 //! synthesized once and shared. The simulator's per-slot incomes, which
-//! the plan folds without storing a trace, must equal the curve
-//! integrals bit for bit.
+//! the plan folds without storing a trace, one node or two per pass,
+//! must equal the curve integrals bit for bit.
 
 use neofog_energy::{EnergyCurve, Scenario, TraceGenerator};
 use neofog_types::{Duration, Energy};
@@ -117,7 +117,9 @@ fn slot_incomes_equal_curve_integrals_bit_for_bit() {
     // to the paper's 1,500 slots; scales that clamp every sample to
     // zero, that zero it, and that scale it down and up.
     let slot = Duration::from_secs(12);
+    let scales = [-1.0, 0.0, 0.75, 1.0, 3.0];
     let mut compared = 0;
+    let mut paired = 0;
     for scenario in SCENARIOS {
         for seed in [1, 2, 97] {
             for dt_secs in [1, 5, 7, 12, 13, 30] {
@@ -128,8 +130,10 @@ fn slot_incomes_equal_curve_integrals_bit_for_bit() {
                         total,
                         Duration::from_secs(dt_secs),
                     );
+                    // Each node's lone fold, node-major, then scale.
+                    let mut alone = Vec::new();
                     for i in 0..4 {
-                        for scale in [-1.0, 0.0, 0.75, 1.0, 3.0] {
+                        for scale in scales {
                             let curve = plan.node_curve(i, scale);
                             // A simulator keeps at least one slot's
                             // income, even over an empty window.
@@ -148,6 +152,31 @@ fn slot_incomes_equal_curve_integrals_bit_for_bit() {
                                 t0 += slot;
                             }
                             compared += incomes.len();
+                            alone.push(incomes);
+                        }
+                    }
+                    // The same nodes folded two per pass, as
+                    // `Simulator::new` folds them, with the lanes in
+                    // either order: each lane equals its node's lone
+                    // fold.
+                    for (k, scale) in scales.into_iter().enumerate() {
+                        for [a, b] in [[0, 1], [2, 3], [3, 0]] {
+                            let blank = vec![Energy::from_nanojoules(-1.0); slots.max(1) as usize];
+                            let mut lanes = [blank.clone(), blank];
+                            let [lane_a, lane_b] = &mut lanes;
+                            plan.slot_incomes_lanes([a, b], scale, slot, [lane_a, lane_b]);
+                            for (node, lane) in [a, b].into_iter().zip(&lanes) {
+                                let want = &alone[node * scales.len() + k];
+                                for (s, (got, want)) in lane.iter().zip(want).enumerate() {
+                                    assert_eq!(
+                                        got.as_nanojoules().to_bits(),
+                                        want.as_nanojoules().to_bits(),
+                                        "{scenario:?} seed {seed}, dt {dt_secs} s, {slots} slots, \
+                                         lanes {a} and {b}, node {node}, scale {scale}: slot {s}"
+                                    );
+                                }
+                                paired += lane.len();
+                            }
                         }
                     }
                 }
@@ -155,6 +184,7 @@ fn slot_incomes_equal_curve_integrals_bit_for_bit() {
         }
     }
     assert_eq!(compared, 4 * 3 * 6 * 4 * 5 * (1 + 1 + 37 + 1500));
+    assert_eq!(paired, 4 * 3 * 6 * 5 * 3 * 2 * (1 + 1 + 37 + 1500));
 }
 
 fn correlation(a: &neofog_energy::PowerTrace, b: &neofog_energy::PowerTrace) -> f64 {

@@ -110,6 +110,24 @@ const BALANCERS: [BalancerKind; 4] = [
     BalancerKind::Offload,
 ];
 
+/// Slot lengths and trace intervals, µs, each with the slot count it
+/// forces (`None` keeps the drawn one). None makes more trace samples
+/// per slot than the paper's 12 s slots at 1 s: the paper's timing, an
+/// interval that does not divide the slot, one longer than the slot,
+/// a 1 s slot, a sub-second slot (which the Distributed balancer
+/// rejects), and two windows that run past `u64::MAX` µs, which
+/// `Simulator::new` rejects: the window itself, and the end of its
+/// last trace sample.
+const TIMINGS: [(u64, u64, Option<u64>); 7] = [
+    (12_000_000, 1_000_000, None),
+    (12_000_000, 5_000_000, None),
+    (12_000_000, 13_000_000, None),
+    (1_000_000, 1_000_000, None),
+    (500_000, 1_000_000, None),
+    (u64::MAX / 2, 1_000_000, Some(3)),
+    (u64::MAX / 3, u64::MAX / 2, Some(3)),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -118,9 +136,9 @@ proptest! {
     /// configuration is either rejected by `Simulator::new` or runs to
     /// the end on at least one physical node, with processed <=
     /// captured <= wakeups and a finite delivery ratio. The draws
-    /// include empty chains (0 positions, multiplex 0) and capacitors
-    /// of zero or infinite size, which must be rejected, and runs of 0
-    /// slots, which must not.
+    /// include empty chains (0 positions, multiplex 0), capacitors of
+    /// zero or infinite size and windows past `u64::MAX` µs, which must
+    /// be rejected, and runs of 0 slots, which must not.
     #[test]
     fn random_configurations_never_panic(
         (system, scenario, balancer) in (0usize..3, 0usize..4, 0usize..4),
@@ -129,6 +147,7 @@ proptest! {
         (positions, multiplex, slots) in (0usize..41, 0u32..6, 0u64..201),
         (seed, weather_loss, initial_charge) in (any::<u64>(), 0.0..1.0f64, 0.0..1.0f64),
         capacity_mj in select(vec![0.0, f64::INFINITY, 0.5, 5.0, 20.0, 100.0, 200.0, 400.0]),
+        timing in select(TIMINGS.to_vec()),
     ) {
         let mut cfg = SimConfig::paper_default(SystemKind::ALL[system], SCENARIOS[scenario], seed);
         cfg.balancer = BALANCERS[balancer];
@@ -139,7 +158,10 @@ proptest! {
         };
         cfg.positions = positions;
         cfg.multiplex = multiplex;
-        cfg.slots = slots;
+        let (slot_us, dt_us, fixed_slots) = timing;
+        cfg.slot_len = Duration::from_micros(slot_us);
+        cfg.trace_dt = Duration::from_micros(dt_us);
+        cfg.slots = fixed_slots.unwrap_or(slots);
         cfg.weather_loss = weather_loss;
         cfg.node.initial_charge = initial_charge;
         cfg.node.cap_capacity = Energy::from_millijoules(capacity_mj);
