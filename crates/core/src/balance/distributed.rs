@@ -10,9 +10,15 @@
 //! chain. If a node cannot even afford the balancing exchange, no
 //! balancing happens in its region this period — "this failure affects
 //! performance, but not functionality".
+//!
+//! Whether a node can exchange is one test over per-node scalars
+//! (alive, spare energy, affordable and queued instructions): a call
+//! applies it at every node, and `idle_report` applies it to the whole
+//! chain before any task list is built. When no node passes it, a
+//! round moves nothing, and the simulator skips the call.
 
 use super::dp::{partition_tasks_into, Assignment, Side};
-use super::{BalanceReport, ChainBalanceInput, FogTask, LoadBalancer};
+use super::{BalanceReport, ChainBalanceInput, FogTask, LoadBalancer, NodeSummary};
 use neofog_types::Energy;
 
 /// Time quantum of the DP tables, in microseconds (0.1 s).
@@ -20,6 +26,11 @@ const TIME_UNIT_US: u64 = 100_000;
 
 /// Outward-propagation passes (each pass is one "call" round).
 const PASSES: usize = 3;
+
+/// Most table cells the scratch reserves ahead of a call (512 KiB). A
+/// paper run's table needs at most 121 × 17; the bound only keeps an
+/// hours-long `MAXTIME` from reserving a table no call fills.
+const TABLE_RESERVE_MAX: usize = 1 << 16;
 
 /// Working memory of one node's exchange, kept across calls. Sized to
 /// the chain's largest queue: a node's surplus never holds more tasks
@@ -39,6 +50,36 @@ struct ExchangeScratch {
     assignment: Assignment,
 }
 
+impl ExchangeScratch {
+    /// Empties the scratch and sizes it for a chain whose largest task
+    /// list holds `room` tasks, so it grows on the first call and then
+    /// only when one of the chain's queues does.
+    fn size_for(&mut self, room: usize, max_time_units: u64) {
+        let cells = usize::try_from(max_time_units)
+            .unwrap_or(usize::MAX)
+            .saturating_add(1)
+            .saturating_mul(room + 1)
+            .min(TABLE_RESERVE_MAX);
+        let ExchangeScratch {
+            surplus,
+            a,
+            b,
+            table,
+            assignment,
+        } = self;
+        surplus.clear();
+        surplus.reserve(room);
+        a.clear();
+        a.reserve(room);
+        b.clear();
+        b.reserve(room);
+        assignment.sides.clear();
+        assignment.sides.reserve(room);
+        table.clear();
+        table.reserve(cells);
+    }
+}
+
 /// The NEOFog distributed balancer.
 #[derive(Debug, Clone)]
 pub struct DistributedBalancer {
@@ -46,7 +87,42 @@ pub struct DistributedBalancer {
     max_time_units: u64,
     /// Energy a node must hold to participate in the exchange.
     exchange_cost: Energy,
+    /// Each position's scalars during a call: summed once from the
+    /// chain, then refreshed for the three positions of each exchange.
+    nodes: Vec<NodeSummary>,
     scratch: ExchangeScratch,
+}
+
+/// The largest task list the summarized positions hold without growing.
+fn largest_list(nodes: &[NodeSummary]) -> usize {
+    nodes.iter().map(|n| n.capacity).max().unwrap_or(0)
+}
+
+/// Whether a position can take part in an exchange: it is alive and
+/// holds the energy the exchange costs.
+fn ready(node: &NodeSummary, cost: Energy) -> bool {
+    node.alive && node.spare_energy >= cost
+}
+
+/// Whether an alive node holds tasks but is too weak to run the
+/// exchange: its region goes unbalanced this period.
+fn interrupted(node: &NodeSummary, cost: Energy) -> bool {
+    node.alive && node.spare_energy < cost && node.tasks > 0
+}
+
+/// Whether the node at `idx` can exchange: it is ready, it cannot
+/// afford its own queue, and a chain neighbour is ready and can afford
+/// more than its own queue. Every other node keeps its tasks, so when
+/// no node of the chain can exchange, a round moves nothing.
+fn can_exchange(nodes: &[NodeSummary], idx: usize, cost: Energy) -> bool {
+    let has_room = |j: Option<usize>| {
+        j.and_then(|j| nodes.get(j))
+            .is_some_and(|n| ready(n, cost) && n.affordable > n.queued)
+    };
+    nodes
+        .get(idx)
+        .is_some_and(|n| ready(n, cost) && n.surplus() < 0)
+        && (has_room(idx.checked_sub(1)) || has_room(idx.checked_add(1)))
 }
 
 impl DistributedBalancer {
@@ -55,8 +131,11 @@ impl DistributedBalancer {
     #[must_use]
     pub fn new(call_interval_secs: u64) -> Self {
         DistributedBalancer {
-            max_time_units: call_interval_secs * 1_000_000 / TIME_UNIT_US,
+            // Whole seconds times the time units per second, which
+            // cannot overflow where seconds × 10⁶ µs did.
+            max_time_units: call_interval_secs.saturating_mul(1_000_000 / TIME_UNIT_US),
             exchange_cost: Energy::from_microjoules(30.0),
+            nodes: Vec::new(),
             scratch: ExchangeScratch {
                 surplus: Vec::new(),
                 a: Vec::new(),
@@ -83,69 +162,33 @@ impl DistributedBalancer {
         ((secs * 1_000_000.0) / TIME_UNIT_US as f64).ceil() as u64
     }
 
-    /// Sizes the scratch for `chain`'s largest queue, so it grows on
-    /// the first call and then only when one of the chain's queues
-    /// does.
-    fn size_for(&mut self, chain: &ChainBalanceInput) {
-        let room = chain
-            .nodes
-            .iter()
-            .map(|n| n.tasks.capacity())
-            .max()
-            .unwrap_or(0);
-        let cells = usize::try_from(self.max_time_units)
-            .unwrap_or(usize::MAX)
-            .saturating_add(1)
-            .saturating_mul(room + 1);
-        let ExchangeScratch {
-            surplus,
-            a,
-            b,
-            table,
-            assignment,
-        } = &mut self.scratch;
-        surplus.clear();
-        surplus.reserve(room);
-        a.clear();
-        a.reserve(room);
-        b.clear();
-        b.reserve(room);
-        assignment.sides.clear();
-        assignment.sides.reserve(room);
-        table.clear();
-        table.reserve(cells);
-    }
-
     fn balance_node(
         &mut self,
         chain: &mut ChainBalanceInput,
         idx: usize,
         report: &mut BalanceReport,
     ) {
-        let Some(node) = chain.nodes.get(idx) else {
+        let cost = self.exchange_cost;
+        let Some(&node) = self.nodes.get(idx) else {
             return;
         };
-        if !node.alive {
-            return;
-        }
         // Interruption: a node too weak to run the exchange leaves its
         // region unbalanced this period.
-        if node.spare_energy < self.exchange_cost {
-            if !node.tasks.is_empty() {
-                report.interrupted_regions += 1;
-            }
+        if interrupted(&node, cost) {
+            report.interrupted_regions += 1;
+        }
+        if !can_exchange(&self.nodes, idx, cost) {
             return;
         }
-        let surplus_deficit = node.surplus();
-        if surplus_deficit >= 0 {
-            return; // the node can handle its own queue
-        }
+        let Some(tasks) = chain.nodes.get(idx).map(|n| &n.tasks) else {
+            return;
+        };
         // Peel surplus tasks off the back of the queue until the rest
         // fits the node's affordable budget.
-        let afford = node.affordable_instructions();
+        let afford = node.affordable;
         let mut kept_sum: u64 = 0;
         let mut keep = 0usize;
-        for t in &node.tasks {
+        for t in tasks {
             if kept_sum + t.instructions <= afford {
                 kept_sum += t.instructions;
                 keep += 1;
@@ -153,20 +196,17 @@ impl DistributedBalancer {
                 break;
             }
         }
-        if keep == node.tasks.len() {
+        if keep == tasks.len() {
             return;
         }
 
         // Neighbour capabilities (alive, with spare capacity beyond
-        // their own queues).
-        let exchange_cost = self.exchange_cost;
+        // their own queues); `can_exchange` found room on one side.
+        let nodes = &self.nodes;
         let side_state = |i: Option<usize>| -> (f64, u64) {
-            match i.and_then(|j| chain.nodes.get(j)) {
-                Some(n) if n.alive && n.spare_energy >= exchange_cost => {
-                    let cap = n
-                        .affordable_instructions()
-                        .saturating_sub(n.queued_instructions());
-                    (n.throughput, cap)
+            match i.and_then(|j| nodes.get(j).zip(chain.nodes.get(j))) {
+                Some((s, n)) if ready(s, cost) => {
+                    (n.throughput, s.affordable.saturating_sub(s.queued))
                 }
                 _ => (0.0, 0),
             }
@@ -175,10 +215,6 @@ impl DistributedBalancer {
         let right_idx = Some(idx + 1).filter(|&j| j < chain.nodes.len());
         let (lt, lcap) = side_state(left_idx);
         let (rt, rcap) = side_state(right_idx);
-        if lcap == 0 && rcap == 0 {
-            // Nowhere to go; tasks stay queued.
-            return;
-        }
         let ExchangeScratch {
             surplus,
             a,
@@ -225,6 +261,17 @@ impl DistributedBalancer {
                 n.tasks.push(task);
             }
         }
+        // Only the node and its two neighbours changed queues.
+        let changed = idx.saturating_sub(1)..idx + 2;
+        for (summary, n) in self
+            .nodes
+            .iter_mut()
+            .zip(&chain.nodes)
+            .skip(changed.start)
+            .take(changed.len())
+        {
+            *summary = NodeSummary::of(n);
+        }
     }
 }
 
@@ -235,7 +282,10 @@ impl LoadBalancer for DistributedBalancer {
 
     fn balance(&mut self, chain: &mut ChainBalanceInput) -> BalanceReport {
         let mut report = BalanceReport::default();
-        self.size_for(chain);
+        self.nodes.clear();
+        self.nodes.extend(chain.nodes.iter().map(NodeSummary::of));
+        self.scratch
+            .size_for(largest_list(&self.nodes), self.max_time_units);
         for _ in 0..PASSES {
             let moved_before = report.tasks_moved;
             for idx in 0..chain.nodes.len() {
@@ -246,6 +296,28 @@ impl LoadBalancer for DistributedBalancer {
             }
         }
         report
+    }
+
+    /// Exact: `Some` exactly when no node can exchange (it is alive
+    /// and holds the exchange's energy, cannot afford its own queue, and
+    /// has a neighbour that holds the exchange's energy and can afford
+    /// more than its queue). Then [`LoadBalancer::balance`] would return
+    /// at every node of its first pass and stop, so the report counts
+    /// only the interruptions, and no task moves. Either way the
+    /// working memory is sized for `nodes`, as a call would size it.
+    fn idle_report(&mut self, nodes: &[NodeSummary]) -> Option<BalanceReport> {
+        self.nodes.clear();
+        self.nodes.reserve(nodes.len());
+        self.scratch
+            .size_for(largest_list(nodes), self.max_time_units);
+        let cost = self.exchange_cost;
+        if (0..nodes.len()).any(|idx| can_exchange(nodes, idx, cost)) {
+            return None;
+        }
+        Some(BalanceReport {
+            interrupted_regions: nodes.iter().filter(|n| interrupted(n, cost)).count() as u64,
+            ..BalanceReport::default()
+        })
     }
 }
 

@@ -99,10 +99,30 @@ pub(crate) fn partition_tasks_into(
     if n == 0 {
         return;
     }
-    // The useful left budget never exceeds sum(a); cap by MAXTIME.
-    // (Saturating: infeasible sides are encoded as huge times.)
-    let sum_a: u64 = a.iter().fold(0u64, |acc, &x| acc.saturating_add(x));
-    let cap = sum_a.min(max_time) as usize;
+    // A task whose left time exceeds the budget never goes left, so the
+    // useful left budget is the sum of the other tasks' left times,
+    // capped by MAXTIME. (Saturating: infeasible sides are encoded as
+    // huge times.) The table over that budget is a prefix of the table
+    // over all of `sum(a)`, and the cells it leaves out repeat its last
+    // one, so the makespan search and the backtrack end where they did.
+    let (fits, sum_fit) = a
+        .iter()
+        .filter(|&&ak| ak <= max_time)
+        .fold((false, 0u64), |(_, sum), &ak| {
+            (true, sum.saturating_add(ak))
+        });
+    if !fits {
+        // No task fits the budget: every task goes right. The table
+        // says the same (every cell takes the right branch, budget 0 is
+        // the first minimum, and the backtrack from it finds no left
+        // move), so it is not built. In paper runs this is the common
+        // case: a whole task needs at least 18 s, MAXTIME is one 12 s
+        // slot.
+        out.sides.resize(n, Side::Right);
+        out.right_time = b.iter().fold(0u64, |acc, &bk| acc.saturating_add(bk));
+        return;
+    }
+    let cap = sum_fit.min(max_time) as usize;
 
     // OPT(i, k) = least right time placing tasks 1..=k with left ≤ i,
     // stored flat as column k of `width` cells: the build step reads
@@ -168,9 +188,81 @@ pub(crate) fn partition_tasks_into(
     }
 }
 
+/// Algorithm 1 as it was before the budget shortcut: the table always
+/// spans `min(sum(a), MAXTIME) + 1` budgets, even when no task fits.
+/// Kept as the reference [`partition_tasks_into`] is compared against,
+/// side for side.
+#[cfg(test)]
+mod reference {
+    use super::{Assignment, Side, INF};
+
+    pub(super) fn partition_tasks_into(
+        a: &[u64],
+        b: &[u64],
+        max_time: u64,
+        table: &mut Vec<u64>,
+        out: &mut Assignment,
+    ) {
+        assert_eq!(a.len(), b.len(), "per-side time arrays must pair up");
+        let n = a.len();
+        out.sides.clear();
+        out.left_time = 0;
+        out.right_time = 0;
+        if n == 0 {
+            return;
+        }
+        let sum_a: u64 = a.iter().fold(0u64, |acc, &x| acc.saturating_add(x));
+        let cap = sum_a.min(max_time) as usize;
+        let width = cap + 1;
+        table.clear();
+        table.resize(width * (n + 1), 0);
+        let mut columns = table.chunks_exact_mut(width);
+        let mut prev = columns.next().unwrap_or_default();
+        for (col, (&ak, &bk)) in columns.zip(a.iter().zip(b)) {
+            for (i, (cell, &stay)) in col.iter_mut().zip(prev.iter()).enumerate() {
+                let right = stay.saturating_add(bk);
+                let left = (i as u64)
+                    .checked_sub(ak)
+                    .and_then(|j| prev.get(j as usize))
+                    .map_or(INF, |&opt| opt);
+                *cell = right.min(left);
+            }
+            prev = col;
+        }
+        let mut best_i = 0usize;
+        let mut best_makespan = INF;
+        for (i, &right) in prev.iter().enumerate() {
+            let m = (i as u64).max(right);
+            if m < best_makespan {
+                best_makespan = m;
+                best_i = i;
+            }
+        }
+        out.sides.resize(n, Side::Right);
+        let mut i = best_i;
+        let tasks = out.sides.iter_mut().zip(a.iter().zip(b));
+        for ((side, (&ak, &bk)), col) in tasks.zip(table.chunks_exact(width)).rev() {
+            let via_right = col.get(i).map_or(INF, |&opt| opt).saturating_add(bk);
+            let budget_left = (i as u64).checked_sub(ak);
+            let via_left = budget_left
+                .and_then(|j| col.get(j as usize))
+                .map_or(INF, |&opt| opt);
+            match budget_left {
+                Some(j) if via_left < via_right => {
+                    *side = Side::Left;
+                    out.left_time += ak;
+                    i = j as usize;
+                }
+                _ => out.right_time = out.right_time.saturating_add(bk),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Exhaustive optimum for small n.
     fn brute_force(a: &[u64], b: &[u64], max_time: u64) -> u64 {
@@ -311,5 +403,41 @@ mod tests {
     fn zero_cost_tasks_are_harmless() {
         let asn = partition_tasks(&[0, 5], &[0, 5], 10);
         assert_eq!(asn.makespan(), 5);
+    }
+
+    /// A task time of kind `kind`: zero, small, around `max_time`, or
+    /// the balancer's "cannot take it" time.
+    fn time(kind: u8, v: u64, max_time: u64) -> u64 {
+        match kind {
+            0 => 0,
+            1 => v,
+            2 => (max_time + v % 5).saturating_sub(2),
+            _ => u64::MAX / 8,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        /// The budget shortcut and the fitted budget give the
+        /// reference's assignment, side for side, with the same times.
+        /// Half of each case's tasks lean to one kind, so cases where no
+        /// task fits, where nine huge times saturate a sum, and where
+        /// every cost is zero all occur.
+        #[test]
+        fn matches_the_reference_assignment(
+            lean in 0u8..4,
+            tasks in prop::collection::vec((0u8..8, 0u64..25, 0u8..8, 0u64..25), 0..13),
+            max_time in 0u64..201,
+        ) {
+            let kind = |k: u8| if k < 4 { k } else { lean };
+            let a: Vec<u64> = tasks.iter().map(|t| time(kind(t.0), t.1, max_time)).collect();
+            let b: Vec<u64> = tasks.iter().map(|t| time(kind(t.2), t.3, max_time)).collect();
+            let mut out = Assignment { sides: Vec::new(), left_time: 0, right_time: 0 };
+            let mut want = out.clone();
+            partition_tasks_into(&a, &b, max_time, &mut Vec::new(), &mut out);
+            reference::partition_tasks_into(&a, &b, max_time, &mut Vec::new(), &mut want);
+            prop_assert_eq!(out, want, "a={:?} b={:?} max_time={}", a, b, max_time);
+        }
     }
 }

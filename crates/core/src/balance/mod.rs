@@ -74,11 +74,20 @@ pub struct NodeBalanceState {
     pub alive: bool,
 }
 
+/// Instructions `spare` energy affords at `efficiency` instructions
+/// per nanojoule: the one expression behind
+/// [`NodeBalanceState::affordable_instructions`] and
+/// [`NodeSummary::affordable`].
+#[must_use]
+pub fn affordable_instructions(spare: Energy, efficiency: f64) -> u64 {
+    (spare.max_zero().as_nanojoules() * efficiency) as u64
+}
+
 impl NodeBalanceState {
     /// Instructions this node can afford with its spare energy.
     #[must_use]
     pub fn affordable_instructions(&self) -> u64 {
-        (self.spare_energy.max_zero().as_nanojoules() * self.efficiency) as u64
+        affordable_instructions(self.spare_energy, self.efficiency)
     }
 
     /// Instructions currently queued.
@@ -92,6 +101,51 @@ impl NodeBalanceState {
     #[must_use]
     pub fn surplus(&self) -> i64 {
         self.affordable_instructions() as i64 - self.queued_instructions() as i64
+    }
+}
+
+/// One position's state without its tasks: the scalars a balancer
+/// reads to decide, before any task list is built, whether a round can
+/// move anything ([`LoadBalancer::idle_report`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NodeSummary {
+    /// `false` when the position cannot participate this round.
+    pub alive: bool,
+    /// Energy available for fog tasks beyond the node's own needs.
+    pub spare_energy: Energy,
+    /// Instructions the spare energy affords
+    /// ([`affordable_instructions`] at the node's efficiency).
+    pub affordable: u64,
+    /// Instructions queued.
+    pub queued: u64,
+    /// Tasks queued.
+    pub tasks: usize,
+    /// Tasks the position's list holds without growing: a balancer
+    /// sizes its working memory from it, as it does from a task list's
+    /// capacity in [`LoadBalancer::balance`].
+    pub capacity: usize,
+}
+
+impl NodeSummary {
+    /// The summary of `node`.
+    #[must_use]
+    pub fn of(node: &NodeBalanceState) -> Self {
+        NodeSummary {
+            alive: node.alive,
+            spare_energy: node.spare_energy,
+            affordable: node.affordable_instructions(),
+            queued: node.queued_instructions(),
+            tasks: node.tasks.len(),
+            capacity: node.tasks.capacity(),
+        }
+    }
+
+    /// Surplus capacity (positive) or deficit (negative), in
+    /// instructions: [`NodeBalanceState::surplus`] of the summarized
+    /// node.
+    #[must_use]
+    pub fn surplus(&self) -> i64 {
+        self.affordable as i64 - self.queued as i64
     }
 }
 
@@ -145,6 +199,20 @@ pub trait LoadBalancer: Send + Sync {
 
     /// Redistributes tasks in place and reports what moved.
     fn balance(&mut self, chain: &mut ChainBalanceInput) -> BalanceReport;
+
+    /// Decides from each position's scalars, in chain order, whether
+    /// a round can move anything. `Some(report)` means it cannot:
+    /// [`LoadBalancer::balance`] and [`LoadBalancer::balance_routed`]
+    /// would move no task, return `report` and leave every task list
+    /// as it was, so the caller need not build the snapshot. `None`
+    /// means "call the balancer"; it is always correct, and it is the
+    /// default. A balancer that answers should also keep its working
+    /// memory sized for these positions, so that skipping rounds never
+    /// moves its first allocation later.
+    fn idle_report(&mut self, nodes: &[NodeSummary]) -> Option<BalanceReport> {
+        let _ = nodes;
+        None
+    }
 
     /// Topology-aware entry point: redistributes tasks with the route
     /// plan and each position's tier in view, appending any

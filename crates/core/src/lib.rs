@@ -58,7 +58,8 @@ pub mod timeline;
 
 pub use balance::{
     BalanceReport, ChainBalanceInput, DistributedBalancer, LoadBalancer, NoBalancer,
-    NodeBalanceState, OffloadBalancer, OffloadDecision, OffloadTarget, RouteContext, TreeBalancer,
+    NodeBalanceState, NodeSummary, OffloadBalancer, OffloadDecision, OffloadTarget, RouteContext,
+    TreeBalancer,
 };
 pub use metrics::{NetworkMetrics, NodeMetrics};
 pub use node::{NodeCapabilities, NodeConfig, PackageSpec, SystemKind};

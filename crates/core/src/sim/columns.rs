@@ -12,9 +12,9 @@
 //! * **Hot columns** — one `Vec` per field the sweeps read every slot:
 //!   capacitor level, RTC level, RTC sync bit, NV FIFO depth (the
 //!   split of the package buffer), the staleness horizon, the per-slot
-//!   direct pool, wake flags, income powers and balance credits. A
-//!   phase that needs three fields walks three dense arrays; everything
-//!   else stays out of cache.
+//!   direct pool, wake flags and income powers. A phase that needs
+//!   three fields walks three dense arrays; everything else stays out
+//!   of cache.
 //! * **The income table** — [`IncomeTable`]: every node's harvest
 //!   income for every slot of the window, slot-major, folded from the
 //!   nodes' power traces at construction, two nodes per pass (their
@@ -54,10 +54,6 @@
 //! [`budget_available`], [`spend_budget`] and [`leftover_income`].
 //! Their operation order is part of the contract:
 //! `tests/columns_goldens.rs` pins the event logs bit for bit.
-//!
-//! Balance credits are a column so the transfer-cost charging is
-//! itself a linear sweep: mark the share on every awake node, then
-//! spend marked credits in index order, allocation-free.
 
 use super::ctx::{Package, QUEUE_RESERVE};
 use super::ledger::EnergyLedger;
@@ -187,9 +183,6 @@ pub(crate) struct NodeColumns {
     pub(crate) awake: Vec<bool>,
     /// Mean income power over the slot, pre-RTC (harvest rewrites it).
     pub(crate) income_power: Vec<Power>,
-    /// Balance-transfer shares marked on awake nodes, spent and zeroed
-    /// in index order by the balance phase's charging sweep.
-    pub(crate) balance_credit: Vec<Energy>,
     // --- per-run state ---
     /// The main capacitor every node carries.
     pub(crate) cap: SuperCap,
@@ -339,7 +332,6 @@ impl NodeColumns {
             direct_left: vec![Energy::ZERO; n],
             awake: vec![false; n],
             income_power: vec![Power::ZERO; n],
-            balance_credit: vec![Energy::ZERO; n],
             cap,
             rtc,
             direct_eff: if fe.has_direct_channel() {
@@ -363,18 +355,13 @@ impl NodeColumns {
     }
 
     /// Opens a slot by clearing the wake flags. The other per-slot
-    /// columns need no reset: slot end drains every direct pool to
-    /// zero, the balance phase zeroes every credit it spends (both
-    /// checked here in debug builds), and harvest rewrites every income
-    /// power before anything reads it.
+    /// columns need no reset: slot end drains every direct pool to zero
+    /// (checked here in debug builds), and harvest rewrites every
+    /// income power before anything reads it.
     pub(crate) fn begin_slot(&mut self) {
         debug_assert!(
             self.direct_left.iter().all(|&e| e == Energy::ZERO),
             "a direct pool survived slot end"
-        );
-        debug_assert!(
-            self.balance_credit.iter().all(|&c| c == Energy::ZERO),
-            "a balance credit survived the balance phase"
         );
         self.awake.fill(false);
     }

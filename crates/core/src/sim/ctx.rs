@@ -4,8 +4,8 @@
 //! it is [`reset`](SlotCtx::reset) at the top of every slot and
 //! threaded through the six phases in order. It owns the per-slot
 //! state that is *not* per-node-columnar (conservation ledgers,
-//! per-position forwarding duty, the balance phase's chain snapshot,
-//! package scratch); the per-node hot state — budgets, wake flags,
+//! per-position forwarding duty, the balance phase's summaries and
+//! chain snapshot, package scratch); the per-node hot state — budgets, wake flags,
 //! income powers — lives in the
 //! [`NodeColumns`](super::columns::NodeColumns) arrays, whose wake
 //! flags [`begin_slot`](super::columns::NodeColumns::begin_slot)
@@ -48,7 +48,7 @@
 //! packages on one node, and that buffer grows to hold them.
 
 use super::ledger::EnergyLedger;
-use crate::balance::{ChainBalanceInput, OffloadDecision};
+use crate::balance::{ChainBalanceInput, NodeSummary, OffloadDecision};
 use neofog_types::Energy;
 use serde::{Deserialize, Serialize};
 
@@ -290,6 +290,10 @@ pub(crate) struct SlotCtx {
     /// Balance-phase scratch: each position's representative (its
     /// awake clone), if any.
     pub(crate) reps: Vec<Option<usize>>,
+    /// Balance-phase scratch: each position's scalars, filled every
+    /// round before any FIFO is copied, from which the balancer decides
+    /// whether the round can move a task.
+    pub(crate) summaries: Vec<NodeSummary>,
     /// Balance-phase scratch: copies of the representatives' pending
     /// FIFOs in position order. Snapshot task tags index it.
     pub(crate) rep_packages: Vec<Package>,

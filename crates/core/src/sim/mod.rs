@@ -27,7 +27,9 @@
 //!    fog-capable nodes also enqueue its processing task.
 //! 3. `balance` — the configured intra-chain balancer redistributes
 //!    fog tasks among the awake representatives using their Spendthrift
-//!    state; transfer traffic is charged.
+//!    state; transfer traffic is charged. A round in which the balancer
+//!    can tell from each position's scalars that no task can move ends
+//!    there, before any task list is built.
 //! 4. `compute` — fog tasks execute within each node's time and
 //!    energy budget (forward progress persists across slots on NVPs);
 //!    stale pending packages are shed or shipped raw.
@@ -430,8 +432,10 @@ impl Simulator {
     /// FNV-1a digest over part of the per-node state. For each physical
     /// node `i` in index order it hashes: the main capacitor's stored
     /// energy, the RTC's sync bit, the FIFO depth, the unspent direct
-    /// pool, the wake flag, the income power, the balance credit, the
-    /// position (`i / multiplex`), the two halves of its package buffer
+    /// pool, the wake flag, the income power, a zero word (where a
+    /// per-node balance credit was hashed; it was always 0.0 between
+    /// slots, so every pinned digest holds), the position
+    /// (`i / multiplex`), the two halves of its package buffer
     /// — the pending FIFO, then the outbox — each as its length and then
     /// each package's origin, creation slot, remaining instructions and
     /// done flag, and the next draw of a clone of the node's RNG stream.
@@ -465,7 +469,7 @@ impl Simulator {
             mix(self.nodes.direct_left[i].as_nanojoules().to_bits());
             mix(u64::from(self.nodes.awake[i]));
             mix(self.nodes.income_power[i].as_microwatts().to_bits());
-            mix(self.nodes.balance_credit[i].as_nanojoules().to_bits());
+            mix(0);
             mix((i / multiplex) as u64);
             let cold = &self.nodes.cold[i];
             let depth = self.nodes.fifo_depth[i];
@@ -689,6 +693,18 @@ mod tests {
             Simulator::new(cfg),
             Err(NeoFogError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn distributed_balancer_takes_the_longest_slot() {
+        // One slot of u64::MAX µs, sampled once: `Simulator::new`
+        // accepts the window, and MAXTIME, counted in 0.1 s units, fits.
+        let mut cfg = quick_cfg(SystemKind::FiosNeoFog);
+        cfg.slots = 1;
+        cfg.slot_len = Duration::from_micros(u64::MAX);
+        cfg.trace_dt = Duration::from_micros(u64::MAX);
+        let result = build(cfg).run();
+        assert_eq!(result.metrics.nodes.len(), 10);
     }
 
     #[test]

@@ -33,7 +33,8 @@
 
 use neofog_alloc_probe::{allocation_count, CountingAlloc};
 use neofog_core::balance::{
-    ChainBalanceInput, DistributedBalancer, FogTask, LoadBalancer, NodeBalanceState, TreeBalancer,
+    ChainBalanceInput, DistributedBalancer, FogTask, LoadBalancer, NodeBalanceState, NodeSummary,
+    TreeBalancer,
 };
 use neofog_core::sim::{BalancerKind, SimConfig, SimEvent, SimObserver, Simulator};
 use neofog_core::SystemKind;
@@ -170,8 +171,9 @@ fn roomy_chain(rng: &mut SimRng) -> ChainBalanceInput {
 fn balancers_allocate_only_on_their_first_call() {
     // The balancers' own memory, apart from the simulator's queues:
     // every node's queue has room for every task of the chain, so only
-    // a balancer's working memory could grow. The first call sizes
-    // it; the rest must not allocate.
+    // a balancer's working memory could grow. The first call (or
+    // Algorithm 1's first idle test) sizes it; the rest must not
+    // allocate.
     let balancers: [(&str, Box<dyn LoadBalancer>); 2] = [
         ("tree", Box::new(TreeBalancer::new())),
         ("distributed", Box::new(DistributedBalancer::new(12))),
@@ -188,6 +190,23 @@ fn balancers_allocate_only_on_their_first_call() {
         let allocs = allocation_count() - before;
         assert_eq!(allocs, 0, "{name}: later calls allocated {allocs} times");
     }
+    // Algorithm 1's idle test sizes the same memory as a call, so a run
+    // whose first rounds are all idle allocates no later than one that
+    // balances from its first slot.
+    let mut rng = SimRng::seed_from(22);
+    let mut chains: Vec<ChainBalanceInput> = (0..500).map(|_| roomy_chain(&mut rng)).collect();
+    let summaries: Vec<NodeSummary> = chains[0].nodes.iter().map(NodeSummary::of).collect();
+    let mut distributed = DistributedBalancer::new(12);
+    let _ = distributed.idle_report(&summaries);
+    let before = allocation_count();
+    for chain in &mut chains {
+        distributed.balance(chain);
+    }
+    let allocs = allocation_count() - before;
+    assert_eq!(
+        allocs, 0,
+        "distributed: calls after an idle round allocated {allocs} times"
+    );
 }
 
 fn multiplexed_slot_loop_is_allocation_free_after_warmup() {

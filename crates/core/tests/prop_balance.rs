@@ -2,7 +2,7 @@
 
 use neofog_core::balance::{
     partition_tasks, ChainBalanceInput, DistributedBalancer, FogTask, LoadBalancer,
-    NodeBalanceState, Side, TreeBalancer,
+    NodeBalanceState, NodeSummary, Side, TreeBalancer,
 };
 use neofog_types::{Energy, NodeId};
 use proptest::prelude::*;
@@ -45,6 +45,66 @@ fn arbitrary_chain() -> impl Strategy<Value = ChainBalanceInput> {
             .collect();
         ChainBalanceInput { nodes }
     })
+}
+
+/// A chain of 1–16 positions mixing five kinds of node: dead, starved
+/// (below the 30 µJ exchange cost), empty, overloaded (more queued than
+/// affordable) and roomy. Half the nodes of a chain lean to one kind,
+/// so chains where nothing can move and chains with one exchange both
+/// occur often. Tasks are whole (6 M instructions), partly processed,
+/// small or empty.
+fn mixed_chain() -> impl Strategy<Value = ChainBalanceInput> {
+    let node = (0u8..10, 0.0..1.0f64, 0usize..6, any::<u64>());
+    (0u8..5, prop::collection::vec(node, 1..17)).prop_map(|(lean, specs)| {
+        let nodes = specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (kind, draw, count, sizes))| {
+                let kind = if kind < 5 { kind } else { lean };
+                // 1 mJ affords about 399 k instructions.
+                let (energy_mj, count) = match kind {
+                    1 => (0.03 * draw, count),
+                    2 => (0.03 + 10.0 * draw, 0),
+                    3 => (0.03 + 0.5 * draw, count.max(2)),
+                    _ => (0.03 + 10.0 * draw, count),
+                };
+                let size =
+                    |k: usize| [6_000_000, 1_500_000, 200_000, 0][(sizes >> (2 * k)) as usize % 4];
+                NodeBalanceState {
+                    node: NodeId::new(i as u32),
+                    spare_energy: Energy::from_millijoules(energy_mj),
+                    efficiency: 1.0 / 2.508,
+                    throughput: 83_333.0,
+                    tasks: (0..count)
+                        .map(|k| FogTask::new(size(k), k as u64))
+                        .collect(),
+                    alive: kind != 0,
+                }
+            })
+            .collect();
+        ChainBalanceInput { nodes }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Algorithm 1's idle test is exact: it answers `Some` exactly when
+    /// a call exchanges nothing, and then its report is the call's and
+    /// no task list changed.
+    #[test]
+    fn idle_report_is_exact(chain in mixed_chain()) {
+        let summaries: Vec<NodeSummary> = chain.nodes.iter().map(NodeSummary::of).collect();
+        let mut balancer = DistributedBalancer::new(12);
+        let idle = balancer.idle_report(&summaries);
+        let mut c = chain.clone();
+        let report = balancer.balance(&mut c);
+        prop_assert_eq!(idle.is_some(), report.transfer_hops == 0, "idle {:?}, call {:?}", idle, report);
+        if let Some(idle) = idle {
+            prop_assert_eq!(idle, report);
+            prop_assert_eq!(&c, &chain);
+        }
+    }
 }
 
 proptest! {

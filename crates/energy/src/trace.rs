@@ -35,7 +35,9 @@ use std::sync::Arc;
 /// A piecewise-constant power signal sampled on a fixed grid.
 ///
 /// The value of sample `i` holds on `[i·dt, (i+1)·dt)`. Beyond the end
-/// of the trace the power is zero.
+/// of the trace the power is zero. The clock stops at `u64::MAX` µs: a
+/// last sample that would end past it is cut there, so
+/// [`duration`](PowerTrace::duration) saturates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerTrace {
     dt: Duration,
@@ -55,7 +57,7 @@ impl PowerTrace {
     }
 
     /// Creates a constant trace of the given total duration (rounded up
-    /// to a whole number of samples).
+    /// to a whole number of samples, the last cut at `u64::MAX` µs).
     #[must_use]
     pub fn constant(power: Power, total: Duration, dt: Duration) -> Self {
         assert!(!dt.is_zero(), "sample interval must be positive");
@@ -66,17 +68,23 @@ impl PowerTrace {
         }
     }
 
-    /// Builds a trace by evaluating `f` at each sample midpoint.
+    /// Builds a trace by evaluating `f` at each sample midpoint (a last
+    /// sample cut at `u64::MAX` µs at the midpoint of what is left).
     #[must_use]
     pub fn from_fn(total: Duration, dt: Duration, mut f: impl FnMut(Duration) -> Power) -> Self {
         assert!(!dt.is_zero(), "sample interval must be positive");
-        let n = total.as_micros().div_ceil(dt.as_micros());
-        let samples = (0..n)
-            .map(|i| {
-                f(Duration::from_micros(
-                    i * dt.as_micros() + dt.as_micros() / 2,
-                ))
-            })
+        let dt_us = dt.as_micros();
+        let n = total.as_micros().div_ceil(dt_us);
+        // Every sample but the last ends by `total`, so only the last
+        // can run past the clock.
+        let last = n.checked_sub(1).map(|i| {
+            let start = i * dt_us;
+            start + (start.saturating_add(dt_us) - start) / 2
+        });
+        let samples = (0..n.saturating_sub(1))
+            .map(|i| i * dt_us + dt_us / 2)
+            .chain(last)
+            .map(|mid| f(Duration::from_micros(mid)))
             .collect();
         PowerTrace { dt, samples }
     }
@@ -99,10 +107,14 @@ impl PowerTrace {
         self.samples.is_empty()
     }
 
-    /// Total covered duration.
+    /// Total covered duration, at most `u64::MAX` µs.
     #[must_use]
     pub fn duration(&self) -> Duration {
-        Duration::from_micros(self.dt.as_micros() * self.samples.len() as u64)
+        Duration::from_micros(
+            self.dt
+                .as_micros()
+                .saturating_mul(self.samples.len() as u64),
+        )
     }
 
     /// The raw samples.
@@ -132,7 +144,7 @@ impl PowerTrace {
         let end = t1.as_micros().min(self.duration().as_micros());
         while cursor < end {
             let idx = (cursor / dt_us) as usize;
-            let seg_end = ((cursor / dt_us) + 1) * dt_us;
+            let seg_end = ((cursor / dt_us) + 1).saturating_mul(dt_us);
             let span = seg_end.min(end) - cursor;
             total += self.samples[idx] * Duration::from_micros(span);
             cursor = seg_end;
@@ -466,9 +478,46 @@ impl ChainPlan {
         slot_len: Duration,
         incomes: [&mut [Energy]; L],
     ) {
+        // Decided once per plan: only a plan whose last sample or slot
+        // ends past `u64::MAX` µs needs the stopped clock. That fold has
+        // its own code, out of line, so the common one compiles as it
+        // does alone.
+        let window = incomes.first().map_or(0, |lane| lane.len());
+        let samples = self.total.as_micros().div_ceil(self.dt.as_micros());
+        let fits = samples.checked_mul(self.dt.as_micros()).is_some()
+            && (window as u64).checked_mul(slot_len.as_micros()).is_some();
+        if fits {
+            self.fold_incomes::<false, L>(nodes, income_scale, slot_len, incomes);
+        } else {
+            self.fold_past_the_clock(nodes, income_scale, slot_len, incomes);
+        }
+    }
+
+    /// Folds the lanes' samples into their incomes; with `CUT` the
+    /// clock stops at `u64::MAX` µs (see [`IncomeFold`]).
+    fn fold_incomes<const CUT: bool, const L: usize>(
+        &self,
+        nodes: [usize; L],
+        income_scale: f64,
+        slot_len: Duration,
+        incomes: [&mut [Energy]; L],
+    ) {
         let mut fold = IncomeFold::new(incomes, income_scale, slot_len, self.dt);
-        self.synthesize(nodes, |p| fold.fold_sample(p));
+        self.synthesize(nodes, |p| fold.fold_sample::<CUT>(p));
         fold.fold_tail();
+    }
+
+    /// The fold of a plan whose clock stops at `u64::MAX` µs.
+    #[cold]
+    #[inline(never)]
+    fn fold_past_the_clock<const L: usize>(
+        &self,
+        nodes: [usize; L],
+        income_scale: f64,
+        slot_len: Duration,
+        incomes: [&mut [Energy]; L],
+    ) {
+        self.fold_incomes::<true, L>(nodes, income_scale, slot_len, incomes);
     }
 
     /// Streams the samples of `L` nodes, in time order, into `sink`,
@@ -497,7 +546,9 @@ impl ChainPlan {
 /// every lane. The first boundary, time zero, reads zero on every
 /// finite trace, so the fold starts from zero at the end of slot 0.
 /// Boundaries advance by addition against a running sample end, so no
-/// sample costs a division.
+/// sample costs a division. Like a trace's, the fold's clock stops at
+/// `u64::MAX` µs: a slot or a last sample that would end past it ends
+/// there.
 struct IncomeFold<'a, const L: usize> {
     /// Each lane's incomes, in slot order; all `window` long.
     incomes: [&'a mut [Energy]; L],
@@ -542,8 +593,10 @@ impl<'a, const L: usize> IncomeFold<'a, L> {
 
     /// Closes every slot whose end falls inside the sample
     /// `[start, start + dt)`, then adds each lane's sample to its
-    /// running total.
-    fn fold_sample(&mut self, samples: [Power; L]) {
+    /// running total. With `CUT` the clock stops at `u64::MAX` µs: a
+    /// sample or slot that would end past it ends there, and a cut
+    /// sample adds only the span it keeps.
+    fn fold_sample<const CUT: bool>(&mut self, samples: [Power; L]) {
         // Every sample is already clamped at zero, so scaling it by 1.0
         // would change no bit: the nominal scale skips the step.
         let p = if self.scale == 1.0 {
@@ -551,7 +604,11 @@ impl<'a, const L: usize> IncomeFold<'a, L> {
         } else {
             samples.map(|p| (p * self.scale).max_zero())
         };
-        let end = self.start + self.dt_us;
+        let end = if CUT {
+            self.start.saturating_add(self.dt_us)
+        } else {
+            self.start + self.dt_us
+        };
         while self.boundary < end {
             let within = Duration::from_micros(self.boundary - self.start);
             let lanes = self.incomes.iter_mut().zip(&mut self.last).zip(self.total);
@@ -561,14 +618,17 @@ impl<'a, const L: usize> IncomeFold<'a, L> {
                 *last = cum;
             }
             self.slot += 1;
-            self.boundary = if self.slot < self.window {
-                self.boundary + self.slot_us
-            } else {
+            self.boundary = if self.slot >= self.window {
                 u64::MAX
+            } else if CUT {
+                self.boundary.saturating_add(self.slot_us)
+            } else {
+                self.boundary + self.slot_us
             };
         }
+        let span = if CUT { end - self.start } else { self.dt_us };
         for (total, p) in self.total.iter_mut().zip(p) {
-            *total += p.as_milliwatts() * self.dt_us as f64;
+            *total += p.as_milliwatts() * span as f64;
         }
         self.start = end;
     }
@@ -803,6 +863,64 @@ mod tests {
                 mean > 0.3 * nominal && mean < 2.0 * nominal,
                 "{sc:?}: mean {mean} vs nominal {nominal}"
             );
+        }
+    }
+
+    #[test]
+    fn the_trace_clock_stops_at_u64_max_micros() {
+        let max = Duration::from_micros(u64::MAX);
+        let half = Duration::from_micros(u64::MAX / 2);
+        // Three samples of u64::MAX / 2 µs: the last keeps 1 µs.
+        let t = PowerTrace::constant(mw(2.0), max, half);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.duration(), max);
+        let kept =
+            Energy::ZERO + mw(2.0) * half + mw(2.0) * half + mw(2.0) * Duration::from_micros(1);
+        assert_eq!(t.energy_between(Duration::ZERO, max), kept);
+        // The cut sample is evaluated at the midpoint of what it keeps.
+        let mut at = Vec::new();
+        let t = PowerTrace::from_fn(max, half, |mid| {
+            at.push(mid.as_micros());
+            mw(1.0)
+        });
+        assert_eq!(t.len(), 3);
+        assert_eq!(
+            at,
+            [u64::MAX / 4, u64::MAX / 2 + u64::MAX / 4, u64::MAX - 1]
+        );
+    }
+
+    #[test]
+    fn the_fold_clock_stops_at_u64_max_micros() {
+        // A last sample past the clock (three of u64::MAX / 2 µs over
+        // three slots of u64::MAX / 3), and slots past it (three of
+        // u64::MAX / 2 µs): every income is the trace's integral over
+        // its slot, cut at u64::MAX µs, bit for bit.
+        let max = Duration::from_micros(u64::MAX);
+        for (dt, slot) in [(u64::MAX / 2, u64::MAX / 3), (u64::MAX / 2, u64::MAX / 2)] {
+            let (dt, slot) = (Duration::from_micros(dt), Duration::from_micros(slot));
+            for scenario in [Scenario::ForestIndependent, Scenario::BridgeDependent] {
+                let plan = TraceGenerator::new(scenario, 1).chain_plan(2, max, dt);
+                let mut incomes = [[Energy::ZERO; 3]; 2];
+                let [a, b] = &mut incomes;
+                plan.slot_incomes_lanes([0, 1], 1.0, slot, [a, b]);
+                let mut lone = [Energy::ZERO; 3];
+                plan.slot_incomes(1, 1.0, slot, &mut lone);
+                assert_eq!(lone, incomes[1], "{scenario:?}: a lone fold differs");
+                for (node, incomes) in incomes.iter().enumerate() {
+                    let curve = EnergyCurve::new(plan.node_trace(node));
+                    for (s, income) in (0u64..).zip(incomes) {
+                        let t0 = Duration::from_micros(slot.as_micros().saturating_mul(s));
+                        let t1 = Duration::from_micros(slot.as_micros().saturating_mul(s + 1));
+                        let want = curve.energy_between(t0, t1);
+                        assert_eq!(
+                            income.as_nanojoules().to_bits(),
+                            want.as_nanojoules().to_bits(),
+                            "{scenario:?}, slot {s}: {income:?} against {want:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -115,10 +115,11 @@ const BALANCERS: [BalancerKind; 4] = [
 /// per slot than the paper's 12 s slots at 1 s: the paper's timing, an
 /// interval that does not divide the slot, one longer than the slot,
 /// a 1 s slot, a sub-second slot (which the Distributed balancer
-/// rejects), and two windows that run past `u64::MAX` µs, which
+/// rejects), two windows that run past `u64::MAX` µs, which
 /// `Simulator::new` rejects: the window itself, and the end of its
-/// last trace sample.
-const TIMINGS: [(u64, u64, Option<u64>); 7] = [
+/// last trace sample; and the longest window it accepts, one slot of
+/// `u64::MAX` µs sampled once, whose Distributed `MAXTIME` must fit.
+const TIMINGS: [(u64, u64, Option<u64>); 8] = [
     (12_000_000, 1_000_000, None),
     (12_000_000, 5_000_000, None),
     (12_000_000, 13_000_000, None),
@@ -126,6 +127,7 @@ const TIMINGS: [(u64, u64, Option<u64>); 7] = [
     (500_000, 1_000_000, None),
     (u64::MAX / 2, 1_000_000, Some(3)),
     (u64::MAX / 3, u64::MAX / 2, Some(3)),
+    (u64::MAX, u64::MAX, Some(1)),
 ];
 
 proptest! {
