@@ -1,10 +1,9 @@
 //! NEOFog core: the paper's contribution.
 //!
 //! This crate assembles the substrates (`neofog-energy`, `neofog-nvp`,
-//! `neofog-rf`, `neofog-sensors`, `neofog-workloads`, `neofog-net`)
-//! into the three optimization layers of the NEOFog architecture
-//! (paper §3) and the system-level simulator that evaluates them
-//! (paper §4–§5):
+//! `neofog-rf`, `neofog-net`) into the three optimization layers of
+//! the NEOFog architecture (paper §3) and the system-level simulator
+//! that evaluates them (paper §4–§5):
 //!
 //! * [`node`] — node-level reoptimization: the NOS-VP, NOS-NVP and
 //!   FIOS-NEOFog system kinds with their activation thresholds and
@@ -12,12 +11,12 @@
 //! * [`balance`] — intra-chain load balancing: no balancing, the
 //!   baseline up-down tree balancer, and the paper's distributed
 //!   dynamic-programming balancer (Algorithm 1).
-//! * [`nvd4q`] — inter-chain node virtualization for QoS
-//!   (Algorithm 2): clone sets time-multiplexing logical nodes via
-//!   NVRF state sharing.
 //! * [`sim`] — the slot-driven WSN system simulator, structured as a
 //!   six-phase pipeline emitting typed [`sim::SimEvent`]s to pluggable
-//!   observers, and [`fleet`] — the streaming many-chain harness
+//!   observers. It also runs inter-chain node virtualization for QoS
+//!   (NVD4Q, Algorithm 2): at [`sim::SimConfig::multiplex`] `M`, each
+//!   position has `M` clones and clone `k` is on duty in the slots
+//!   `≡ k (mod M)`. [`fleet`] is the streaming many-chain harness
 //!   behind the paper's "our simulator runs thousands of single-node
 //!   simulators simultaneously".
 //! * [`runner`] — batch execution: the work-stealing job pool, the
@@ -49,7 +48,6 @@ pub mod experiment;
 pub mod fleet;
 pub mod metrics;
 pub mod node;
-pub mod nvd4q;
 pub mod report;
 pub mod runner;
 pub mod sim;
@@ -63,7 +61,6 @@ pub use balance::{
 };
 pub use metrics::{NetworkMetrics, NodeMetrics};
 pub use node::{NodeCapabilities, NodeConfig, PackageSpec, SystemKind};
-pub use nvd4q::{CloneSet, VirtualizationManager};
 pub use runner::{run_batch, CollectAll, NoProgress, PoolConfig, Progress, Reduce, StderrTicker};
 pub use sim::{
     BalancerKind, EventLogObserver, MetricsObserver, Observers, RadioPurpose, ShedReason,

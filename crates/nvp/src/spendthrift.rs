@@ -78,22 +78,6 @@ impl SpendthriftPolicy {
         SpendthriftPolicy { levels }
     }
 
-    /// Creates a policy from explicit levels (must be sorted by
-    /// ascending factor and non-empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is empty or unsorted.
-    #[must_use]
-    pub fn from_levels(levels: Vec<FrequencyLevel>) -> Self {
-        assert!(!levels.is_empty(), "at least one level required");
-        assert!(
-            levels.is_sorted_by(|a, b| a.factor <= b.factor),
-            "levels must be sorted by factor"
-        );
-        SpendthriftPolicy { levels }
-    }
-
     /// All operating points, ascending by factor.
     #[must_use]
     pub fn levels(&self) -> &[FrequencyLevel] {
@@ -107,7 +91,7 @@ impl SpendthriftPolicy {
     #[must_use]
     #[expect(
         clippy::indexing_slicing,
-        reason = "`from_levels` asserts that the level table is not empty"
+        reason = "`paper_default`, the only constructor, builds five levels"
     )]
     pub fn choose(&self, income: Power) -> FrequencyLevel {
         self.levels
@@ -187,11 +171,5 @@ mod tests {
         assert!(
             p.efficiency(Power::from_microwatts(50.0)) > p.efficiency(Power::from_milliwatts(5.0))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one level")]
-    fn rejects_empty_level_table() {
-        let _ = SpendthriftPolicy::from_levels(vec![]);
     }
 }

@@ -13,13 +13,9 @@
 //!   memory access: 28 ms one-time configuration, then
 //!   `(1.74 + 0.156 + 0.216·N + 0.032·N)` ms per transmission, a 27×
 //!   init speedup and 6.2× throughput gain.
-//! * NVRF state is **cloneable**, the property NVD4Q virtualization
-//!   exploits: a new node copies a neighbour's NVRF register file and
-//!   joins its clone set without any network reconstruction.
 //!
-//! Modules: [`timing`] (pure measured formulas), [`model`] (stateful
-//! radio models), [`packet`] (frames), [`loss`] (the measured 0.75 %
-//! weather-driven loss process).
+//! Modules: [`timing`] (the measured formulas as pure functions) and
+//! [`loss`] (the measured 0.75 % weather-driven loss process).
 
 // Library code must not panic: one panic aborts a whole fleet sweep.
 // Tests are exempt (`clippy.toml`); DESIGN.md §10 has the waivers.
@@ -32,11 +28,7 @@
 )]
 
 pub mod loss;
-pub mod model;
-pub mod packet;
 pub mod timing;
 
 pub use loss::LossModel;
-pub use model::{NvRf, RadioCost, RadioModel, RfConfig, SoftwareRf};
-pub use packet::{Packet, PacketKind};
 pub use timing::RfTimings;

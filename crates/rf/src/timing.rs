@@ -97,19 +97,6 @@ impl RfTimings {
         self.active_power * self.nvrf_tx_time(n)
     }
 
-    /// Energy of the software re-initialization (radio sits active
-    /// while the host drives it).
-    #[must_use]
-    pub fn software_init_energy(&self) -> Energy {
-        self.active_power * self.software_init
-    }
-
-    /// Energy of the NVRF one-time configuration.
-    #[must_use]
-    pub fn nvrf_init_energy(&self) -> Energy {
-        self.active_power * self.nvrf_init
-    }
-
     /// Init-time speedup of NVRF over software control (paper: ~19×
     /// for the ML7266 figures; the earlier prototype reported 27×).
     #[must_use]

@@ -5,9 +5,11 @@ use std::fmt;
 
 /// Errors produced by NEOFog components.
 ///
-/// The variants map to the failure classes the paper's simulation
-/// framework models (§4): invalid configuration, energy depletion,
-/// buffer overflow, network desynchronization and transmission failure.
+/// A run fails in one of two ways: the caller's configuration is out
+/// of range or inconsistent, or the simulator broke one of its own
+/// invariants. Shortages the paper models (energy depletion, a full
+/// buffer, a lost packet) are outcomes of a run, reported in its
+/// metrics and events, not errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NeoFogError {
@@ -16,33 +18,6 @@ pub enum NeoFogError {
         /// Human-readable description of what was wrong.
         reason: String,
     },
-    /// An operation needed more stored energy than was available.
-    EnergyDepleted {
-        /// Energy needed, in nanojoules.
-        needed_nj: u64,
-        /// Energy available, in nanojoules.
-        available_nj: u64,
-    },
-    /// A nonvolatile buffer could not accept more data.
-    BufferFull {
-        /// Capacity of the buffer in bytes.
-        capacity: usize,
-    },
-    /// A node lost RTC synchronization with its cluster.
-    Desynchronized,
-    /// A packet could not be delivered after exhausting recovery.
-    TransmissionFailed {
-        /// Number of delivery attempts made.
-        attempts: u32,
-    },
-    /// The referenced entity does not exist.
-    NotFound {
-        /// Description of the missing entity (e.g. `"node n17"`).
-        what: String,
-    },
-    /// A load-balance round was interrupted by power failure; no
-    /// balancing takes place in that region for this period (§3.2).
-    BalanceInterrupted,
     /// An internal invariant was violated (a bug in the simulator, not
     /// in the caller's configuration).
     Internal {
@@ -56,26 +31,6 @@ impl fmt::Display for NeoFogError {
         match self {
             NeoFogError::InvalidConfig { reason } => {
                 write!(f, "invalid configuration: {reason}")
-            }
-            NeoFogError::EnergyDepleted {
-                needed_nj,
-                available_nj,
-            } => write!(
-                f,
-                "energy depleted: needed {needed_nj} nJ but only {available_nj} nJ stored"
-            ),
-            NeoFogError::BufferFull { capacity } => {
-                write!(f, "nonvolatile buffer full at {capacity} bytes")
-            }
-            NeoFogError::Desynchronized => {
-                write!(f, "node lost RTC synchronization with the cluster")
-            }
-            NeoFogError::TransmissionFailed { attempts } => {
-                write!(f, "transmission failed after {attempts} attempts")
-            }
-            NeoFogError::NotFound { what } => write!(f, "not found: {what}"),
-            NeoFogError::BalanceInterrupted => {
-                write!(f, "load-balance round interrupted by power failure")
             }
             NeoFogError::Internal { reason } => {
                 write!(f, "internal invariant violated: {reason}")
@@ -95,12 +50,6 @@ impl NeoFogError {
         }
     }
 
-    /// Convenience constructor for [`NeoFogError::NotFound`].
-    #[must_use]
-    pub fn not_found(what: impl Into<String>) -> Self {
-        NeoFogError::NotFound { what: what.into() }
-    }
-
     /// Convenience constructor for [`NeoFogError::Internal`].
     #[must_use]
     pub fn internal(reason: impl Into<String>) -> Self {
@@ -116,27 +65,21 @@ mod tests {
 
     #[test]
     fn displays_are_lowercase_and_informative() {
-        let e = NeoFogError::EnergyDepleted {
-            needed_nj: 100,
-            available_nj: 7,
-        };
+        let e = NeoFogError::invalid_config("capacity must be positive");
         assert_eq!(
             e.to_string(),
-            "energy depleted: needed 100 nJ but only 7 nJ stored"
+            "invalid configuration: capacity must be positive"
         );
-        let e = NeoFogError::invalid_config("capacity must be positive");
-        assert!(e.to_string().starts_with("invalid configuration"));
+        let e = NeoFogError::internal("simulation batch lost a result");
+        assert_eq!(
+            e.to_string(),
+            "internal invariant violated: simulation batch lost a result"
+        );
     }
 
     #[test]
     fn is_std_error_send_sync() {
         fn assert_bounds<T: StdError + Send + Sync + 'static>() {}
         assert_bounds::<NeoFogError>();
-    }
-
-    #[test]
-    fn not_found_names_the_entity() {
-        let e = NeoFogError::not_found("node n17");
-        assert_eq!(e.to_string(), "not found: node n17");
     }
 }

@@ -1,8 +1,8 @@
 //! Newtype identifiers used across the NEOFog workspace.
 //!
 //! Each identifier is a transparent wrapper around an unsigned integer,
-//! giving static distinctions (a `NodeId` cannot be confused with a
-//! `TaskId`) at zero runtime cost.
+//! so it cannot be confused with a count or an index of another kind,
+//! at zero runtime cost.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -62,23 +62,6 @@ define_id! {
     NodeId, u32, "n"
 }
 
-define_id! {
-    /// Identifies one *logical* node: with NVD4Q virtualization several
-    /// physical nodes ([`NodeId`]s) time-multiplex a single `LogicalId`.
-    LogicalId, u32, "L"
-}
-
-define_id! {
-    /// Identifies one schedulable unit of work (a "task" in the paper's
-    /// terminology: one step of the per-sample processing pipeline).
-    TaskId, u64, "t"
-}
-
-define_id! {
-    /// Identifies one radio packet.
-    PacketId, u64, "p"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,9 +79,6 @@ mod tests {
     #[test]
     fn displays_with_prefix() {
         assert_eq!(NodeId::new(7).to_string(), "n7");
-        assert_eq!(LogicalId::new(1).to_string(), "L1");
-        assert_eq!(TaskId::new(9).to_string(), "t9");
-        assert_eq!(PacketId::new(0).to_string(), "p0");
     }
 
     #[test]

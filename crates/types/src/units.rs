@@ -57,12 +57,6 @@ impl Energy {
         Self::from_nanojoules(mj * 1e6)
     }
 
-    /// Creates an energy from joules.
-    #[must_use]
-    pub fn from_joules(j: f64) -> Self {
-        Self::from_nanojoules(j * 1e9)
-    }
-
     /// Returns the energy in nanojoules.
     #[must_use]
     pub fn as_nanojoules(self) -> f64 {

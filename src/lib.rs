@@ -11,11 +11,11 @@
 //! |---|---|---|
 //! | [`types`] | `neofog-types` | units, ids, errors, deterministic RNG |
 //! | [`energy`] | `neofog-energy` | power traces, supercaps, front-ends, RTC |
-//! | [`nvp`] | `neofog-nvp` | VP/NVP models, intermittent execution, Spendthrift, NV buffer |
-//! | [`rf`] | `neofog-rf` | software RF vs NVRF, packets, loss process |
-//! | [`sensors`] | `neofog-sensors` | sensor specs, signal synthesis |
-//! | [`workloads`] | `neofog-workloads` | Table-2 app models + real kernels (FFT, NCC, compression, strength models) |
-//! | [`net`] | `neofog-net` | RTC slots, topologies compiled into route plans |
+//! | [`nvp`] | `neofog-nvp` | Spendthrift frequency scaling: the NVP's cost per instruction |
+//! | [`rf`] | `neofog-rf` | measured software-RF and NVRF timings, loss process |
+//! | [`sensors`] | `neofog-sensors` | sensor specs |
+//! | [`workloads`] | `neofog-workloads` | Table 2 application models |
+//! | [`net`] | `neofog-net` | topologies compiled into route plans |
 //! | [`core`] | `neofog-core` | NOS/FIOS nodes, load balancers (Algorithm 1), NVD4Q (Algorithm 2), system simulator, experiments |
 //!
 //! # Quickstart
@@ -65,8 +65,6 @@ pub mod prelude {
         StderrTicker, SystemKind,
     };
     pub use neofog_energy::{PowerTrace, Scenario, SuperCap, TraceGenerator};
-    pub use neofog_nvp::{NvBuffer, Processor, ProcessorKind};
-    pub use neofog_rf::{NvRf, RadioModel, RfConfig, SoftwareRf};
     pub use neofog_types::{Duration, Energy, NodeId, Power, SimRng, SimTime};
-    pub use neofog_workloads::{App, Strategy, TaskPipeline};
+    pub use neofog_workloads::{App, Strategy};
 }

@@ -1,8 +1,10 @@
 //! Integration test: the energy model reproduces Table 2 of the paper
-//! exactly (to the printed precision), spanning the workloads, sensors
-//! and rf crates.
+//! exactly (to the printed precision), spanning the workloads, rf and
+//! nvp crates.
 
+use neofog::nvp::SpendthriftPolicy;
 use neofog::rf::RfTimings;
+use neofog::workloads::app::energy_per_instruction;
 use neofog::workloads::App;
 
 #[test]
@@ -78,11 +80,20 @@ fn compression_stays_in_the_paper_band() {
 
 #[test]
 fn instruction_energy_comes_from_the_nvp_model() {
-    // 2.508 nJ/inst = 0.209 mW x 12 cycles @ 1 MHz.
-    let spec = neofog::nvp::ProcSpec::paper_nvp();
-    for app in App::ALL {
-        let via_model = spec.execution_energy(app.naive_instructions());
-        let row = app.energy_row();
-        assert!((via_model.as_nanojoules() - row.naive_compute.as_nanojoules()).abs() < 1e-6);
-    }
+    // 2.508 nJ/inst = 0.209 mW x 12 cycles @ 1 MHz. The figures price
+    // compute at the Spendthrift level's cost and Table 2 at the
+    // workloads constant; both must be the same number, to the bit.
+    let policy = SpendthriftPolicy::paper_default();
+    let one_x = policy
+        .levels()
+        .iter()
+        .find(|l| l.factor == 1.0)
+        .expect("the paper table has a 1x level");
+    assert_eq!(
+        one_x.energy_per_inst.as_nanojoules().to_bits(),
+        energy_per_instruction().as_nanojoules().to_bits(),
+        "Spendthrift 1x: {:?}, Table 2: {:?}",
+        one_x.energy_per_inst,
+        energy_per_instruction()
+    );
 }

@@ -23,7 +23,6 @@ const DIMENSIONLESS: &str = "efficiency _eff eff_ ratio fraction factor scale sh
 /// Names that look dimensioned but are not.
 const IDENT_ALLOWS: &[&str] = &[
     "initial_charge", // fraction of capacitor capacity in [0, 1], not coulombs
-    "energy_index",   // dimensionless structural-strength index from the workload model
 ];
 /// `units.rs` defines the raw representations the typed units wrap.
 const FILE_ALLOWS: &[&str] = &["crates/types/src/units.rs"];
